@@ -24,7 +24,6 @@
 #include "src/model/feasibility.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
-#include "src/parallel/thread_pool.h"
 #include "src/shortest/hub_labels.h"
 #include "src/shortest/oracle.h"
 #include "src/util/rng.h"
@@ -67,32 +66,16 @@ void BenchOracle(bool smoke, std::vector<std::string>* lines) {
   const RoadNetwork graph = MakeNycLike(0.12 * s, 1);
   const auto n = graph.num_vertices();
 
-  const auto seq_t0 = Clock::now();
+  const auto build_t0 = Clock::now();
   HubLabelOracle labels = HubLabelOracle::Build(graph);
-  const double seq_build_ms = MsSince(seq_t0);
-
-  ThreadPool pool(4);
-  const auto par_t0 = Clock::now();
-  const HubLabelOracle par_labels = HubLabelOracle::Build(graph, &pool);
-  const double par_build_ms = MsSince(par_t0);
-  if (!par_labels.SameLabels(labels)) {
-    std::fprintf(stderr,
-                 "bench_hotpath: parallel hub-label build diverged from the "
-                 "sequential build!\n");
-    std::exit(1);
-  }
+  const double build_ms = MsSince(build_t0);
 
   Record(lines, "hub_label_build",
          {{"graph", "nyc_like"},
           {"vertices", std::to_string(n)},
           {"threads", "1"},
           {"avg_label", Fmt(labels.average_label_size())}},
-         seq_build_ms, n / (seq_build_ms / 1e3), -1.0, -1.0, -1.0);
-  Record(lines, "hub_label_build",
-         {{"graph", "nyc_like"},
-          {"vertices", std::to_string(n)},
-          {"threads", "4"}},
-         par_build_ms, n / (par_build_ms / 1e3), -1.0, -1.0, -1.0);
+         build_ms, n / (build_ms / 1e3), -1.0, -1.0, -1.0);
 
   // Random point-to-point queries; latency sampled per batch so the clock
   // overhead does not drown sub-microsecond queries.
@@ -128,10 +111,6 @@ void BenchOracle(bool smoke, std::vector<std::string>* lines) {
          per_query_us.Percentile(99) * 1e-3);
 }
 
-const char* OrderName(VertexOrder order) {
-  return order == VertexOrder::kContraction ? "ch" : "degree";
-}
-
 // Times random point queries against `labels`, returning wall ms and
 // filling per-query microsecond percentiles (batch-sampled like the main
 // query bench so the clock never dominates).
@@ -160,66 +139,44 @@ double TimeQueries(HubLabelOracle* labels, VertexId n, std::int64_t queries,
   return ms;
 }
 
-// Ordering x quantization axes of the continental-scale oracle. The base
-// city records all four configs; the ~10x point records the before/after
-// pair (degree+exact is the historical default, CH+quantized the
-// continental configuration) so the trajectory shows the label-memory and
-// latency movement without paying four full builds at the large scale.
+// The hub labels at the base city and at ~10x its size: build time, label
+// size and point-query latency, then the batched gather against the
+// point-query loop on the same labels.
 void BenchOracleConfigs(bool smoke, std::vector<std::string>* lines) {
   const double s = EnvScale();
   struct GraphPoint {
     const char* name;
     double scale;
-    bool all_configs;
+    std::int64_t queries;
   };
   const std::vector<GraphPoint> points = {
-      {"nyc_like", 0.12 * s, true},
-      {"nyc_like_10x", 1.2 * s, false},
+      {"nyc_like", 0.12 * s, smoke ? 20'000 : 500'000},
+      {"nyc_like_10x", 1.2 * s, smoke ? 20'000 : 200'000},
   };
   for (const GraphPoint& pt : points) {
     const RoadNetwork graph = MakeNycLike(pt.scale, 1);
     const auto n = graph.num_vertices();
-    ThreadPool pool(4);
-    for (const VertexOrder order :
-         {VertexOrder::kDegree, VertexOrder::kContraction}) {
-      for (const bool quantize : {false, true}) {
-        if (!pt.all_configs &&
-            !((order == VertexOrder::kDegree && !quantize) ||
-              (order == VertexOrder::kContraction && quantize))) {
-          continue;
-        }
-        OracleOptions opts;
-        opts.order = order;
-        opts.quantize = quantize;
-        const auto b_t0 = Clock::now();
-        HubLabelOracle labels = HubLabelOracle::Build(graph, &pool, opts);
-        const double build_ms = MsSince(b_t0);
-        const std::int64_t queries =
-            smoke ? 20'000 : (pt.all_configs ? 500'000 : 200'000);
-        StatsAccumulator per_query_us;
-        const double q_ms = TimeQueries(&labels, n, queries, &per_query_us);
-        Record(lines, "hub_label_config",
-               {{"graph", pt.name},
-                {"vertices", std::to_string(n)},
-                {"order", OrderName(order)},
-                {"quantize", quantize ? "1" : "0"},
-                {"avg_label", Fmt(labels.average_label_size())},
-                {"label_memory_bytes", std::to_string(labels.MemoryBytes())},
-                {"build_ms", Fmt(build_ms)},
-                {"quant_error_bound", Fmt(labels.QuantizationErrorBound())},
-                {"queries", std::to_string(queries)}},
-               q_ms, queries / (q_ms / 1e3),
-               per_query_us.Percentile(50) * 1e-3,
-               per_query_us.Percentile(95) * 1e-3,
-               per_query_us.Percentile(99) * 1e-3);
-      }
-    }
+    const auto b_t0 = Clock::now();
+    HubLabelOracle labels = HubLabelOracle::Build(graph);
+    const double build_ms = MsSince(b_t0);
+    StatsAccumulator per_query_us;
+    const double q_ms = TimeQueries(&labels, n, pt.queries, &per_query_us);
+    Record(lines, "hub_label_config",
+           {{"graph", pt.name},
+            {"vertices", std::to_string(n)},
+            {"avg_label", Fmt(labels.average_label_size())},
+            {"label_memory_bytes", std::to_string(labels.MemoryBytes())},
+            {"build_ms", Fmt(build_ms)},
+            {"queries", std::to_string(pt.queries)}},
+           q_ms, pt.queries / (q_ms / 1e3),
+           per_query_us.Percentile(50) * 1e-3,
+           per_query_us.Percentile(95) * 1e-3,
+           per_query_us.Percentile(99) * 1e-3);
 
     // Batched multi-source gather vs the point-query loop, in the shape
     // the planner issues (route positions x {origin, destination}). Both
     // modes produce bit-identical cells; the trajectory records the
     // per-cell latency of each.
-    HubLabelOracle labels = HubLabelOracle::Build(graph, &pool);
     constexpr int kSources = 16, kTargets = 2;
     const std::int64_t rounds = smoke ? 2'000 : 50'000;
     Rng rng(13);

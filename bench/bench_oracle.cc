@@ -22,22 +22,12 @@ namespace {
 struct OracleFixture {
   OracleFixture() : graph(MakeNycLike(0.08, 5)) {
     labels = std::make_unique<HubLabelOracle>(HubLabelOracle::Build(graph));
-    OracleOptions ch_order;
-    ch_order.order = VertexOrder::kContraction;
-    labels_ch = std::make_unique<HubLabelOracle>(
-        HubLabelOracle::Build(graph, nullptr, ch_order));
-    OracleOptions quant = ch_order;
-    quant.quantize = true;
-    labels_quant = std::make_unique<HubLabelOracle>(
-        HubLabelOracle::Build(graph, nullptr, quant));
     ch = std::make_unique<ContractionHierarchy>(
         ContractionHierarchy::Build(graph));
     alt = std::make_unique<AltOracle>(AltOracle::Build(graph, 8));
   }
   RoadNetwork graph;
   std::unique_ptr<HubLabelOracle> labels;
-  std::unique_ptr<HubLabelOracle> labels_ch;     // CH contraction order
-  std::unique_ptr<HubLabelOracle> labels_quant;  // CH order + 32-bit labels
   std::unique_ptr<ContractionHierarchy> ch;
   std::unique_ptr<AltOracle> alt;
 };
@@ -75,30 +65,7 @@ void BM_HubLabels(benchmark::State& state) {
     const VertexId t = rng.UniformInt(0, f.graph.num_vertices() - 1);
     benchmark::DoNotOptimize(f.labels->Distance(s, t));
   }
-}
-
-void BM_HubLabelsChOrder(benchmark::State& state) {
-  auto& f = Fixture();
-  Rng rng(1);
-  for (auto _ : state) {
-    const VertexId s = rng.UniformInt(0, f.graph.num_vertices() - 1);
-    const VertexId t = rng.UniformInt(0, f.graph.num_vertices() - 1);
-    benchmark::DoNotOptimize(f.labels_ch->Distance(s, t));
-  }
-  state.counters["label_bytes"] =
-      static_cast<double>(f.labels_ch->MemoryBytes());
-}
-
-void BM_HubLabelsQuantized(benchmark::State& state) {
-  auto& f = Fixture();
-  Rng rng(1);
-  for (auto _ : state) {
-    const VertexId s = rng.UniformInt(0, f.graph.num_vertices() - 1);
-    const VertexId t = rng.UniformInt(0, f.graph.num_vertices() - 1);
-    benchmark::DoNotOptimize(f.labels_quant->Distance(s, t));
-  }
-  state.counters["label_bytes"] =
-      static_cast<double>(f.labels_quant->MemoryBytes());
+  state.counters["label_bytes"] = static_cast<double>(f.labels->MemoryBytes());
 }
 
 // The planner's gather shape: route positions x {origin, destination} in
@@ -177,8 +144,6 @@ void BM_AltOracle(benchmark::State& state) {
 BENCHMARK(BM_Dijkstra);
 BENCHMARK(BM_BidirectionalDijkstra);
 BENCHMARK(BM_HubLabels);
-BENCHMARK(BM_HubLabelsChOrder);
-BENCHMARK(BM_HubLabelsQuantized);
 BENCHMARK(BM_HubLabelsBatchGather)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_HubLabelsPointGather)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_ContractionHierarchy);

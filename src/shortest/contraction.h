@@ -12,9 +12,8 @@ namespace urpsm {
 /// Contraction rank of every vertex: rank[v] is the step at which the lazy
 /// edge-difference contraction loop contracts v, so a high rank means
 /// "contracted late" = structurally important (a hub). Shares the exact
-/// contraction sequence with ContractionHierarchy::Build; used by
-/// HubLabelOracle's kContraction vertex ordering, where labels are built
-/// from roots in descending rank order.
+/// contraction sequence with ContractionHierarchy::Build; HubLabelOracle
+/// builds its labels from roots in descending rank order.
 std::vector<int> ContractionOrder(const RoadNetwork& graph);
 
 /// Contraction Hierarchies (Geisberger et al.) distance/path oracle.

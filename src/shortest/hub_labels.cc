@@ -1,13 +1,11 @@
 #include "src/shortest/hub_labels.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 #include <queue>
 #include <utility>
 
-#include "src/parallel/thread_pool.h"
 #include "src/shortest/contraction.h"
 #include "src/shortest/dijkstra.h"
 
@@ -23,7 +21,7 @@ struct BuildEntry {
 };
 
 // Label lists under construction: per-vertex vectors, ascending rank by
-// construction (roots commit in rank order).
+// construction (roots are searched in rank order).
 using BuildLabels = std::vector<std::vector<BuildEntry>>;
 
 double QueryBuildLabels(const BuildLabels& labels, VertexId u, VertexId v) {
@@ -45,27 +43,23 @@ double QueryBuildLabels(const BuildLabels& labels, VertexId u, VertexId v) {
   return best;
 }
 
-// Reusable per-search state (one instance per speculative batch slot, so
-// concurrent searches never share).
+// Search state reused across roots; dist is all-inf between searches.
 struct SearchScratch {
   std::vector<double> dist;
   std::vector<VertexId> touched;
-  std::vector<std::pair<VertexId, double>> out;  // pop-order label entries
 };
 
-// The pruned Dijkstra of PLL from `root`, evaluated against the (frozen)
-// label set `labels`. Returns, in scratch->out, exactly the entries the
-// sequential build would append had `labels` been the committed state: a
-// vertex u popped at distance d is labeled iff no pair of existing labels
-// certifies dis(root, u) <= d; pruned vertices are not expanded.
-void PrunedSearch(const RoadNetwork& graph, const BuildLabels& labels,
-                  VertexId root, SearchScratch* scratch) {
+// The pruned Dijkstra of PLL from `root`, whose position in the build
+// order is `rank`: a vertex u popped at distance d gains the label entry
+// (rank, d) unless the labels built so far already certify
+// dis(root, u) <= d; pruned vertices are not expanded.
+void PrunedSearch(const RoadNetwork& graph, VertexId root, VertexId rank,
+                  BuildLabels* labels, SearchScratch* scratch) {
   using HeapEntry = std::pair<double, VertexId>;
   using MinHeap =
       std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
   std::vector<double>& dist = scratch->dist;
   std::vector<VertexId>& touched = scratch->touched;
-  scratch->out.clear();
   MinHeap heap;
   dist[static_cast<std::size_t>(root)] = 0.0;
   touched.clear();
@@ -78,8 +72,10 @@ void PrunedSearch(const RoadNetwork& graph, const BuildLabels& labels,
     if (d > dist[ui]) continue;
     // Prune: if existing labels already certify a distance <= d between
     // root and u, u (and everything behind it) need not store this hub.
-    if (QueryBuildLabels(labels, root, u) <= d) continue;
-    scratch->out.push_back({u, d});
+    // The entries this search appends never pair up here: a popped u holds
+    // none yet, and the root's own entry needs a match in u's label.
+    if (QueryBuildLabels(*labels, root, u) <= d) continue;
+    (*labels)[ui].push_back({rank, d});
     for (const auto& arc : graph.Neighbors(u)) {
       const auto vi = static_cast<std::size_t>(arc.to);
       const double nd = d + arc.cost;
@@ -93,129 +89,28 @@ void PrunedSearch(const RoadNetwork& graph, const BuildLabels& labels,
   for (VertexId v : touched) dist[static_cast<std::size_t>(v)] = kInfDistance;
 }
 
-// Root processing order per the chosen strategy. Stable sorts keep ties in
-// vertex-id order, so each ordering is fully deterministic.
-std::vector<VertexId> BuildOrder(const RoadNetwork& graph, VertexOrder order) {
-  const auto n = static_cast<std::size_t>(graph.num_vertices());
-  std::vector<VertexId> result(n);
-  std::iota(result.begin(), result.end(), 0);
-  if (order == VertexOrder::kContraction) {
-    // Most important = contracted last = highest CH rank first.
-    const std::vector<int> rank = ContractionOrder(graph);
-    std::stable_sort(result.begin(), result.end(),
-                     [&](VertexId a, VertexId b) {
-                       return rank[static_cast<std::size_t>(a)] >
-                              rank[static_cast<std::size_t>(b)];
-                     });
-  } else {
-    // Descending degree (cheap, effective proxy for betweenness on road
-    // networks).
-    std::stable_sort(result.begin(), result.end(),
-                     [&](VertexId a, VertexId b) {
-                       return graph.Neighbors(a).size() >
-                              graph.Neighbors(b).size();
-                     });
-  }
-  return result;
-}
-
 }  // namespace
 
 HubLabelOracle HubLabelOracle::Build(const RoadNetwork& graph) {
-  return Build(graph, nullptr, OracleOptions{});
-}
-
-HubLabelOracle HubLabelOracle::Build(const RoadNetwork& graph,
-                                     ThreadPool* pool) {
-  return Build(graph, pool, OracleOptions{});
-}
-
-HubLabelOracle HubLabelOracle::Build(const RoadNetwork& graph,
-                                     ThreadPool* pool,
-                                     const OracleOptions& options) {
   HubLabelOracle oracle(&graph);
-  oracle.order_ = options.order;
   const auto n = static_cast<std::size_t>(graph.num_vertices());
 
-  const std::vector<VertexId> order = BuildOrder(graph, options.order);
+  // Roots in descending contraction rank (contracted last = most important
+  // first). The stable sort keeps any tie in vertex-id order.
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  const std::vector<int> ch_rank = ContractionOrder(graph);
+  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    return ch_rank[static_cast<std::size_t>(a)] >
+           ch_rank[static_cast<std::size_t>(b)];
+  });
 
   BuildLabels labels(n);
-
-  // Roots are processed in batches. Every root in a batch runs its pruned
-  // search speculatively (in parallel) against the label state frozen at
-  // the batch boundary; commits then happen strictly in rank order. A
-  // pending root's speculation is invalidated exactly when a hub committed
-  // ahead of it inside the batch would have pruned one of its speculative
-  // label entries — the first point at which its sequential search could
-  // diverge — and only then is its search re-run, now against the exact
-  // committed state. Batch size 1 degenerates to the sequential build, and
-  // validated commits are provably the sequential result, so the labels
-  // are bit-identical for every pool size.
-  const int threads = pool != nullptr ? pool->num_threads() : 1;
-  const std::size_t batch =
-      threads > 1 ? std::min<std::size_t>(4 * static_cast<std::size_t>(threads),
-                                          32)
-                  : 1;
-
-  std::vector<SearchScratch> scratch(batch);
-  for (auto& s : scratch) s.dist.assign(n, kInfDistance);
-  std::vector<char> dirty(batch, 0);
-  // Dense scatter of the just-committed root's label distances, used to
-  // evaluate the new-hub query contribution d(root_j, x) + d(x, u) in O(1)
-  // per entry. Cleared after each commit by re-scattering.
-  std::vector<double> commit_dist(n, kInfDistance);
-
-  for (std::size_t s = 0; s < n; s += batch) {
-    const std::size_t e = std::min(n, s + batch);
-    const auto run_spec = [&](std::int64_t b) {
-      PrunedSearch(graph, labels, order[s + static_cast<std::size_t>(b)],
-                   &scratch[static_cast<std::size_t>(b)]);
-    };
-    if (batch > 1 && e - s > 1) {
-      pool->ParallelFor(0, static_cast<std::int64_t>(e - s), run_spec);
-    } else {
-      for (std::size_t b = 0; b < e - s; ++b) {
-        run_spec(static_cast<std::int64_t>(b));
-      }
-    }
-    std::fill(dirty.begin(), dirty.begin() + static_cast<std::ptrdiff_t>(e - s),
-              0);
-
-    for (std::size_t j = s; j < e; ++j) {
-      SearchScratch& sj = scratch[j - s];
-      if (dirty[j - s] != 0) {
-        // Speculation invalidated: labels now hold exactly the sequential
-        // state L_{j-1}, so this re-run is the sequential search itself.
-        PrunedSearch(graph, labels, order[j], &sj);
-      }
-      const auto rank_j = static_cast<VertexId>(j);
-      for (const auto& [u, d] : sj.out) {
-        labels[static_cast<std::size_t>(u)].push_back({rank_j, d});
-      }
-      if (j + 1 == e) continue;
-      // Validate the batch's still-pending speculations against this
-      // commit. The only way root_k's sequential search can differ from
-      // its speculation is a label entry (u, d) flipping to pruned, i.e.
-      // d(root_j, root_k) + d(root_j, u) <= d with both distances taken
-      // from root_j's committed output (<= mirrors the prune comparison).
-      for (const auto& [u, d] : sj.out) {
-        commit_dist[static_cast<std::size_t>(u)] = d;
-      }
-      for (std::size_t k = j + 1; k < e; ++k) {
-        if (dirty[k - s] != 0) continue;
-        const double dj = commit_dist[static_cast<std::size_t>(order[k])];
-        if (dj == kInfDistance) continue;  // root_k gained no hub-j label
-        for (const auto& [u, d] : scratch[k - s].out) {
-          if (dj + commit_dist[static_cast<std::size_t>(u)] <= d) {
-            dirty[k - s] = 1;
-            break;
-          }
-        }
-      }
-      for (const auto& entry : sj.out) {
-        commit_dist[static_cast<std::size_t>(entry.first)] = kInfDistance;
-      }
-    }
+  SearchScratch scratch;
+  scratch.dist.assign(n, kInfDistance);
+  for (std::size_t j = 0; j < n; ++j) {
+    PrunedSearch(graph, order[j], static_cast<VertexId>(j), &labels,
+                 &scratch);
   }
 
   // Flatten into CSR (structure of arrays): per-vertex offsets plus one
@@ -237,61 +132,7 @@ HubLabelOracle HubLabelOracle::Build(const RoadNetwork& graph,
       ++at;
     }
   }
-
-  if (options.quantize) {
-    // Quantization happens strictly after the (double-precision) build, so
-    // the parallel-build bit-identity argument above is untouched: the
-    // quantized arrays are a pure function of the exact ones. Scale maps
-    // the largest finite label distance to the saturation cap, so every
-    // build entry encodes without saturating; the cap and the infinity
-    // sentinel exist for the encoding helpers and defensive symmetry.
-    double max_finite = 0.0;
-    for (const double d : oracle.hub_dist_) {
-      if (d < kInfDistance && d > max_finite) max_finite = d;
-    }
-    oracle.quant_scale_ =
-        max_finite > 0.0 ? static_cast<double>(kQuantMax) / max_finite : 1.0;
-    oracle.quant_resolution_ = 1.0 / oracle.quant_scale_;
-    oracle.hub_dist_q_.resize(total);
-    for (std::size_t i = 0; i < total; ++i) {
-      oracle.hub_dist_q_[i] =
-          QuantizeDistance(oracle.hub_dist_[i], oracle.quant_scale_);
-    }
-    oracle.hub_dist_.clear();
-    oracle.quantized_ = true;
-    // Proven bound on |quantized query - exact query|: the two label
-    // entries of any candidate sum each round by <= resolution/2 (the
-    // saturated encoding of the max-finite entry errs by at most a few
-    // ulps of max_finite); dequantization multiplies by fl(1/scale),
-    // adding <= max_finite * eps per entry; the candidate addition rounds
-    // once more (<= 2 * max_finite * eps); and min over per-candidate
-    // perturbed values moves by at most the largest perturbation. The
-    // 8 * max * eps slack covers every epsilon-scaled term with room.
-    oracle.quantization_error_bound_ =
-        oracle.quant_resolution_ +
-        8.0 * max_finite * std::numeric_limits<double>::epsilon();
-  }
-
-  // Exact-size storage: MemoryBytes() reports size() * element width, so
-  // drop the growth slack the flatten/quantize steps may have left.
-  oracle.offsets_.shrink_to_fit();
-  oracle.hub_rank_.shrink_to_fit();
-  oracle.hub_dist_.shrink_to_fit();
-  oracle.hub_dist_q_.shrink_to_fit();
   return oracle;
-}
-
-std::uint32_t HubLabelOracle::QuantizeDistance(double d, double scale) {
-  if (!(d < kInfDistance)) return kQuantInf;  // +inf (and NaN) -> sentinel
-  const double scaled = d * scale;
-  if (scaled >= static_cast<double>(kQuantMax)) return kQuantMax;  // saturate
-  if (scaled <= 0.0) return 0u;
-  return static_cast<std::uint32_t>(std::llround(scaled));
-}
-
-double HubLabelOracle::DequantizeDistance(std::uint32_t q, double resolution) {
-  if (q == kQuantInf) return kInfDistance;
-  return static_cast<double>(q) * resolution;
 }
 
 void HubLabelOracle::ScatterLabel(VertexId v, double* col,
@@ -300,18 +141,9 @@ void HubLabelOracle::ScatterLabel(VertexId v, double* col,
   const auto e =
       static_cast<std::size_t>(offsets_[static_cast<std::size_t>(v) + 1]);
   const VertexId* ranks = hub_rank_.data();
-  if (quantized_) {
-    const std::uint32_t* dists = hub_dist_q_.data();
-    const double res = quant_resolution_;
-    for (std::size_t i = b; i < e; ++i) {
-      col[static_cast<std::size_t>(ranks[i]) * stride] =
-          DequantizeDistance(dists[i], res);
-    }
-  } else {
-    const double* dists = hub_dist_.data();
-    for (std::size_t i = b; i < e; ++i) {
-      col[static_cast<std::size_t>(ranks[i]) * stride] = dists[i];
-    }
+  const double* dists = hub_dist_.data();
+  for (std::size_t i = b; i < e; ++i) {
+    col[static_cast<std::size_t>(ranks[i]) * stride] = dists[i];
   }
 }
 
@@ -344,8 +176,7 @@ double HubLabelOracle::QueryByLabels(VertexId u, VertexId v) const {
   // branch-free min accumulators; (3) restore the column. Every candidate
   // is the same du + dv sum the merge would form, and min over doubles is
   // exact and order-independent, so results are bit-identical — measured
-  // ~2.6x faster on the bench_oracle fixture. Quantized labels dequantize
-  // on the fly (one multiply per entry); the candidate set is the same.
+  // ~2.6x faster on the bench_oracle fixture.
   //
   // The dense column costs 8 bytes per vertex per querying thread and is
   // shared by all oracle instances on the thread (it only ever grows).
@@ -365,44 +196,20 @@ double HubLabelOracle::QueryByLabels(VertexId u, VertexId v) const {
   double b0 = std::numeric_limits<double>::infinity(), b1 = b0, b2 = b0,
          b3 = b0;
   std::size_t j = bv;
-  if (quantized_) {
-    const std::uint32_t* dists = hub_dist_q_.data();
-    const double res = quant_resolution_;
-    for (; j + 4 <= ev; j += 4) {
-      const double c0 =
-          col[static_cast<std::size_t>(ranks[j])] + DequantizeDistance(dists[j], res);
-      const double c1 = col[static_cast<std::size_t>(ranks[j + 1])] +
-                        DequantizeDistance(dists[j + 1], res);
-      const double c2 = col[static_cast<std::size_t>(ranks[j + 2])] +
-                        DequantizeDistance(dists[j + 2], res);
-      const double c3 = col[static_cast<std::size_t>(ranks[j + 3])] +
-                        DequantizeDistance(dists[j + 3], res);
-      b0 = c0 < b0 ? c0 : b0;
-      b1 = c1 < b1 ? c1 : b1;
-      b2 = c2 < b2 ? c2 : b2;
-      b3 = c3 < b3 ? c3 : b3;
-    }
-    for (; j < ev; ++j) {
-      const double c =
-          col[static_cast<std::size_t>(ranks[j])] + DequantizeDistance(dists[j], res);
-      b0 = c < b0 ? c : b0;
-    }
-  } else {
-    const double* dists = hub_dist_.data();
-    for (; j + 4 <= ev; j += 4) {
-      const double c0 = col[static_cast<std::size_t>(ranks[j])] + dists[j];
-      const double c1 = col[static_cast<std::size_t>(ranks[j + 1])] + dists[j + 1];
-      const double c2 = col[static_cast<std::size_t>(ranks[j + 2])] + dists[j + 2];
-      const double c3 = col[static_cast<std::size_t>(ranks[j + 3])] + dists[j + 3];
-      b0 = c0 < b0 ? c0 : b0;
-      b1 = c1 < b1 ? c1 : b1;
-      b2 = c2 < b2 ? c2 : b2;
-      b3 = c3 < b3 ? c3 : b3;
-    }
-    for (; j < ev; ++j) {
-      const double c = col[static_cast<std::size_t>(ranks[j])] + dists[j];
-      b0 = c < b0 ? c : b0;
-    }
+  const double* dists = hub_dist_.data();
+  for (; j + 4 <= ev; j += 4) {
+    const double c0 = col[static_cast<std::size_t>(ranks[j])] + dists[j];
+    const double c1 = col[static_cast<std::size_t>(ranks[j + 1])] + dists[j + 1];
+    const double c2 = col[static_cast<std::size_t>(ranks[j + 2])] + dists[j + 2];
+    const double c3 = col[static_cast<std::size_t>(ranks[j + 3])] + dists[j + 3];
+    b0 = c0 < b0 ? c0 : b0;
+    b1 = c1 < b1 ? c1 : b1;
+    b2 = c2 < b2 ? c2 : b2;
+    b3 = c3 < b3 ? c3 : b3;
+  }
+  for (; j < ev; ++j) {
+    const double c = col[static_cast<std::size_t>(ranks[j])] + dists[j];
+    b0 = c < b0 ? c : b0;
   }
   RestoreColumn(scatter_v, col, 1);
   return std::min(std::min(b0, b1), std::min(b2, b3));
@@ -444,11 +251,7 @@ void HubLabelOracle::BatchQuery(const std::vector<VertexId>& sources,
   }
 
   const VertexId* ranks = hub_rank_.data();
-  const bool quantized = quantized_;
-  const double res = quant_resolution_;
-  const auto entry_dist = [&](std::size_t k) {
-    return quantized ? DequantizeDistance(hub_dist_q_[k], res) : hub_dist_[k];
-  };
+  const double* dists = hub_dist_.data();
   if (nt == 2) {
     // The planner's dominant shape — route positions x {origin,
     // destination} — keeps both accumulators in registers.
@@ -461,7 +264,7 @@ void HubLabelOracle::BatchQuery(const std::vector<VertexId>& sources,
       double a0 = std::numeric_limits<double>::infinity(), a1 = a0;
       for (std::size_t k = bs; k < es; ++k) {
         const double* row = base + static_cast<std::size_t>(ranks[k]) * 2;
-        const double d = entry_dist(k);
+        const double d = dists[k];
         const double c0 = row[0] + d;
         const double c1 = row[1] + d;
         a0 = c0 < a0 ? c0 : a0;
@@ -485,7 +288,7 @@ void HubLabelOracle::BatchQuery(const std::vector<VertexId>& sources,
                 std::numeric_limits<double>::infinity());
       for (std::size_t k = bs; k < es; ++k) {
         const double* row = base + static_cast<std::size_t>(ranks[k]) * nt;
-        const double d = entry_dist(k);
+        const double d = dists[k];
         for (std::size_t j = 0; j < nt; ++j) {
           const double c = row[j] + d;
           acc[j] = c < acc[j] ? c : acc[j];
@@ -513,13 +316,11 @@ double HubLabelOracle::average_label_size() const {
 }
 
 std::int64_t HubLabelOracle::MemoryBytes() const {
-  // Sizes, not capacities: the build shrinks every CSR array to fit, so
-  // this is the actual resident footprint of the labels.
-  return static_cast<std::int64_t>(
-      offsets_.size() * sizeof(std::int64_t) +
-      hub_rank_.size() * sizeof(VertexId) +
-      hub_dist_.size() * sizeof(double) +
-      hub_dist_q_.size() * sizeof(std::uint32_t));
+  // Sizes, not capacities: the build allocates every CSR array once at its
+  // final size, so this is the actual resident footprint of the labels.
+  return static_cast<std::int64_t>(offsets_.size() * sizeof(std::int64_t) +
+                                   hub_rank_.size() * sizeof(VertexId) +
+                                   hub_dist_.size() * sizeof(double));
 }
 
 }  // namespace urpsm

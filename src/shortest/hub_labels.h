@@ -9,66 +9,30 @@
 
 namespace urpsm {
 
-class ThreadPool;
-
-/// Root processing order for the pruned-landmark-labeling build. The order
-/// only changes which vertices become hubs early — every ordering yields an
-/// exact oracle, so simulation outputs are bit-identical across orderings
-/// (same distances, merely different label sizes and query speed).
-enum class VertexOrder {
-  /// Descending degree: cheap, effective proxy for betweenness on
-  /// road-like planar graphs. The historical default.
-  kDegree,
-  /// Descending Contraction Hierarchies rank (vertices contracted last by
-  /// the lazy edge-difference heuristic first). Costs a CH contraction
-  /// pass at build time and measurably shrinks labels versus degree order.
-  kContraction,
-};
-
-/// Build-time options for HubLabelOracle. The defaults reproduce the
-/// historical build bit for bit.
-struct OracleOptions {
-  VertexOrder order = VertexOrder::kDegree;
-  /// Store label distances as 32-bit fixed point instead of doubles,
-  /// shrinking CSR labels from 12 to 8 bytes per entry. Queries then carry
-  /// a proven absolute error bound of `quantization_error_bound()`; exact
-  /// infinities (disconnected pairs) survive the round trip via a sentinel.
-  bool quantize = false;
-};
-
 /// Two-hop hub labeling built with pruned landmark labeling (PLL).
 ///
 /// Stand-in for the hub-based labeling algorithm of Abraham et al. [9] that
 /// the paper uses for on-the-fly shortest distance and path queries
 /// (Sec. 6.1). The label of a vertex v is a sorted list of (hub, distance)
-/// pairs; dis(u, v) = min over common hubs h of d(u,h) + d(h,v). Pruned
-/// Dijkstras are run from vertices in a pluggable importance order
-/// (VertexOrder), which keeps labels small on road-like planar graphs.
+/// pairs; dis(u, v) = min over common hubs h of d(u,h) + d(h,v). Like the
+/// labels of [9], the pruned Dijkstras run from roots in contraction order:
+/// descending Contraction Hierarchies rank (ContractionOrder), so the
+/// vertices contracted last — the structurally important ones — become
+/// hubs first, which keeps labels small on road-like planar graphs.
+/// Distances are stored exactly (doubles).
 ///
 /// Labels are stored in CSR layout: one contiguous hub-rank array and one
 /// contiguous hub-distance array (structure of arrays), plus per-vertex
 /// offsets. A query scatters the shorter label into a rank-indexed dense
 /// column and scans the longer one — no per-vertex vector indirection, no
-/// padding (12 bytes per label exact, 8 quantized).
+/// padding (12 bytes per label entry).
 class HubLabelOracle : public DistanceOracle {
  public:
-  /// Builds labels for `graph` sequentially with default options.
-  /// O(sum label sizes * log) preprocessing; intended for graphs up to a
-  /// few hundred thousand vertices.
+  /// Builds labels for `graph`: one contraction pass for the root order,
+  /// then the pruned searches. O(sum label sizes * log) after the
+  /// contraction pass; intended for graphs up to a few hundred thousand
+  /// vertices.
   static HubLabelOracle Build(const RoadNetwork& graph);
-
-  /// Parallel build over `pool` (nullptr or size 1 falls back to the
-  /// sequential build). Roots are processed in speculative batches against
-  /// a frozen label snapshot and committed strictly in rank order; a
-  /// speculative search is re-run sequentially exactly when a hub committed
-  /// ahead of it would have pruned one of its label entries, so the result
-  /// is bit-identical to the sequential build for every pool size (per
-  /// ordering — the guarantee holds separately for each VertexOrder).
-  static HubLabelOracle Build(const RoadNetwork& graph, ThreadPool* pool);
-
-  /// Full-control build: vertex ordering and quantization per `options`.
-  static HubLabelOracle Build(const RoadNetwork& graph, ThreadPool* pool,
-                              const OracleOptions& options);
 
   double Distance(VertexId u, VertexId v) override;
 
@@ -90,69 +54,30 @@ class HubLabelOracle : public DistanceOracle {
   /// Average number of (hub, distance) pairs per vertex label.
   double average_label_size() const;
 
-  /// Total memory consumed by the labels, in bytes. Exact: the CSR arrays
-  /// are shrunk to size after build, and this sums size() * element width.
+  /// Total memory consumed by the labels, in bytes. Exact: the build sizes
+  /// each CSR array once, and this sums size() * element width.
   std::int64_t MemoryBytes() const;
-
-  VertexOrder order() const { return order_; }
-  bool quantized() const { return quantized_; }
-
-  /// Proven worst-case absolute error of any Distance/BatchQuery result:
-  /// 0 when exact; when quantized, each of the two label entries in a
-  /// candidate sum carries at most half a quantum of rounding error plus
-  /// O(eps)-scaled dequantization error, and min over perturbed candidates
-  /// moves by at most the largest per-candidate perturbation.
-  double QuantizationErrorBound() const override {
-    return quantization_error_bound_;
-  }
-
-  /// Fixed-point helpers, exposed for edge-case tests. `scale` maps
-  /// travel-time minutes to quantum counts. Encoding saturates at
-  /// kQuantMax; exact infinity (unreachable) round-trips via kQuantInf.
-  static constexpr std::uint32_t kQuantInf = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kQuantMax = 0xFFFFFFFEu;
-  static std::uint32_t QuantizeDistance(double d, double scale);
-  static double DequantizeDistance(std::uint32_t q, double resolution);
-
-  /// Quantum size in minutes (0 when not quantized).
-  double quant_resolution() const { return quant_resolution_; }
-
-  /// Exact equality of the label structure (offsets, hub ranks and hub
-  /// distances — exact or quantized — bit for bit). Used to prove parallel
-  /// builds identical to sequential ones.
-  bool SameLabels(const HubLabelOracle& other) const {
-    return offsets_ == other.offsets_ && hub_rank_ == other.hub_rank_ &&
-           hub_dist_ == other.hub_dist_ && hub_dist_q_ == other.hub_dist_q_ &&
-           quant_resolution_ == other.quant_resolution_;
-  }
 
  private:
   explicit HubLabelOracle(const RoadNetwork* graph) : graph_(graph) {}
 
   double QueryByLabels(VertexId u, VertexId v) const;
 
-  /// Scatters vertex v's label distances (dequantized if needed) into the
-  /// rank-indexed column `col` at `stride` doubles per rank; RestoreColumn
-  /// undoes it. Stride 1 serves the point query's dense column; the batched
-  /// sweep interleaves its per-target columns rank-major (stride = number
-  /// of targets) so one cache line holds every target's entry for a rank.
+  /// Scatters vertex v's label distances into the rank-indexed column
+  /// `col` at `stride` doubles per rank; RestoreColumn undoes it. Stride 1
+  /// serves the point query's dense column; the batched sweep interleaves
+  /// its per-target columns rank-major (stride = number of targets) so one
+  /// cache line holds every target's entry for a rank.
   void ScatterLabel(VertexId v, double* col, std::size_t stride) const;
   void RestoreColumn(VertexId v, double* col, std::size_t stride) const;
 
   const RoadNetwork* graph_;
-  VertexOrder order_ = VertexOrder::kDegree;
-  bool quantized_ = false;
-  double quant_resolution_ = 0.0;        // minutes per quantum; 0 = exact
-  double quant_scale_ = 0.0;             // quanta per minute; 0 = exact
-  double quantization_error_bound_ = 0.0;
   // CSR label storage: vertex v's label occupies [offsets_[v], offsets_[v+1])
-  // in hub_rank_ and hub_dist_ (exact) or hub_dist_q_ (quantized), sorted by
-  // hub rank ascending (ranks are positions in the build order, so lists are
-  // sorted by construction). Exactly one of the distance arrays is non-empty.
+  // in hub_rank_ and hub_dist_, sorted by hub rank ascending (ranks are
+  // positions in the build order, so lists are sorted by construction).
   std::vector<std::int64_t> offsets_;
   std::vector<VertexId> hub_rank_;
   std::vector<double> hub_dist_;
-  std::vector<std::uint32_t> hub_dist_q_;
 };
 
 }  // namespace urpsm

@@ -61,8 +61,8 @@ class DistanceOracle {
   }
 
   /// Worst-case absolute error of any Distance result versus the exact
-  /// shortest distance, when the oracle stores lossy (quantized) labels.
-  /// 0 for exact oracles. Decorators forward to the wrapped oracle.
+  /// shortest distance. Every oracle in this library is exact, so 0; the
+  /// hook stays virtual for external decorators that forward it.
   virtual double QuantizationErrorBound() const { return 0.0; }
 
   /// Number of `Distance` calls served so far.
@@ -125,10 +125,6 @@ class CachedOracle : public DistanceOracle {
   void BatchQuery(const std::vector<VertexId>& sources,
                   const std::vector<VertexId>& targets,
                   std::vector<double>* out) override;
-
-  double QuantizationErrorBound() const override {
-    return inner_->QuantizationErrorBound();
-  }
 
   std::int64_t cache_hits() const { return cache_.hits(); }
   std::int64_t cache_misses() const { return cache_.misses(); }

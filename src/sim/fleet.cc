@@ -11,6 +11,7 @@ Fleet::Fleet(std::vector<Worker> workers, const RoadNetwork* graph)
   routes_.reserve(workers_.size());
   state_cache_.resize(workers_.size());
   commit_log_.resize(workers_.size());
+  committed_by_worker_.resize(workers_.size(), 0.0);
   for (const Worker& w : workers_) {
     routes_.emplace_back(w.initial_location, 0.0);
   }
@@ -65,17 +66,17 @@ void Fleet::DisableArrivalHeap() {
 
 void Fleet::CommitFront(WorkerId w) {
   // Callers either run on the driver thread (AdvanceTo/FinishAll) or hold
-  // the worker's shard lock (Touch in shard-safe mode): the route and the
-  // per-worker commit log need no further locking here. The cross-shard
-  // commit state does.
-  Route& rt = routes_[static_cast<std::size_t>(w)];
+  // the worker's shard lock (Touch in shard-safe mode): the route, the
+  // per-worker commit log and distance total need no further locking here.
+  // The cross-shard commit state does.
+  const auto ws = static_cast<std::size_t>(w);
+  Route& rt = routes_[ws];
   assert(!rt.empty());
   const Point from = anchor_point(w);
-  const double leg = rt.leg_costs().front();
+  committed_by_worker_[ws] += rt.leg_costs().front();
   const Stop stop = rt.PopFront();
-  commit_log_[static_cast<std::size_t>(w)].push_back({stop, rt.anchor_time()});
+  commit_log_[ws].push_back({stop, rt.anchor_time()});
   const std::unique_lock<std::mutex> lock = MaybeLockCommit();
-  committed_distance_ += leg;
   if (stop.kind == StopKind::kPickup) {
     pickup_time_[stop.request] = rt.anchor_time();
   } else {
@@ -157,8 +158,14 @@ double Fleet::DropoffTime(RequestId r) const {
   return it == dropoff_time_.end() ? kInf : it->second;
 }
 
+double Fleet::committed_distance() const {
+  double total = 0.0;
+  for (const double d : committed_by_worker_) total += d;
+  return total;
+}
+
 double Fleet::TotalPlannedDistance() const {
-  double total = committed_distance_;
+  double total = committed_distance();
   for (const Route& rt : routes_) total += rt.RemainingCost();
   return total;
 }

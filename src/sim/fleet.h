@@ -38,9 +38,9 @@ class Fleet {
   /// Switches the fleet into shard-safe mode (nullptr switches back):
   /// Touch, ApplyInsertion, ReplaceRoute and CachedState serialize on the
   /// owning shard's mutex, and the cross-shard state a commit mutates
-  /// (arrival heap, grid index, pickup/drop-off records, total distance)
-  /// goes behind one commit mutex — so distinct requests may plan and
-  /// mutate overlapping worker sets from pool threads concurrently.
+  /// (arrival heap, grid index, pickup/drop-off records) goes behind one
+  /// commit mutex — so distinct requests may plan and mutate overlapping
+  /// worker sets from pool threads concurrently.
   /// With no shards attached (the default) every call stays lock-free and
   /// the PR-2 single-request contract applies. AdvanceTo and FinishAll
   /// remain driver-thread-only in both modes: they walk the arrival heap
@@ -88,10 +88,10 @@ class Fleet {
   std::unique_lock<std::mutex> LockWorker(WorkerId w) {
     return MaybeLockShard(w);
   }
-  /// The cross-shard commit lock (heap/index/records/distance; no-op
-  /// without shards). The speculative planner holds it across a grid-
-  /// index candidate filter so the read is atomic against the commit
-  /// thread's index moves.
+  /// The cross-shard commit lock (heap/index/records; no-op without
+  /// shards). The speculative planner holds it across a grid-index
+  /// candidate filter so the read is atomic against the commit thread's
+  /// index moves.
   std::unique_lock<std::mutex> LockCommitState() { return MaybeLockCommit(); }
 
   /// Commits every stop scheduled at or before `t`, fleet-wide. Amortized
@@ -154,8 +154,12 @@ class Fleet {
   }
 
   /// Total distance (travel time) driven so far by all workers, committed
-  /// legs only.
-  double committed_distance() const { return committed_distance_; }
+  /// legs only. Each worker's legs accumulate in route order into its own
+  /// total, and the totals are summed in worker-id order, so the result is
+  /// bit-identical whichever path committed the legs (the fleet-wide
+  /// arrival heap interleaves workers by time; Touch and AdvanceWorkerTo
+  /// commit one worker at a time).
+  double committed_distance() const;
   /// Committed plus still-planned distance: equals sum_w D(S_w) over the
   /// full simulation once all requests are in.
   double TotalPlannedDistance() const;
@@ -165,7 +169,7 @@ class Fleet {
   void PushHeap(WorkerId w);
   /// Shard lock of worker `w` when shards are attached, else a no-op lock.
   std::unique_lock<std::mutex> MaybeLockShard(WorkerId w);
-  /// Commit lock (heap/index/records/distance) when sharded, else no-op.
+  /// Commit lock (heap/index/records) when sharded, else no-op.
   std::unique_lock<std::mutex> MaybeLockCommit();
 
   struct StateCacheEntry {
@@ -198,7 +202,7 @@ class Fleet {
   std::unordered_map<RequestId, double> pickup_time_;
   std::unordered_map<RequestId, double> dropoff_time_;
   std::vector<std::vector<CommittedStop>> commit_log_;
-  double committed_distance_ = 0.0;
+  std::vector<double> committed_by_worker_;  // slot w ↔ routes_[w]
 };
 
 }  // namespace urpsm

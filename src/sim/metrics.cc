@@ -42,9 +42,6 @@ SimReport AverageReports(const std::vector<SimReport>& reports) {
     avg.response_stats.Merge(r.response_stats);
     queries += static_cast<double>(r.distance_queries);
     index_mem += static_cast<double>(r.index_memory_bytes);
-    // An error bound must stay a bound across pooled runs: take the max.
-    avg.oracle_quant_error_bound =
-        std::max(avg.oracle_quant_error_bound, r.oracle_quant_error_bound);
     avg.wall_seconds += r.wall_seconds / n;
     avg.timed_out = avg.timed_out || r.timed_out;
     avg.mean_pickup_wait_min += r.mean_pickup_wait_min / n;

@@ -131,11 +131,6 @@ struct SimReport {
   StatsAccumulator response_stats;
   std::int64_t distance_queries = 0;
   std::int64_t index_memory_bytes = 0;
-  /// Worst-case absolute error (travel-time minutes) of any oracle
-  /// distance used by the run, from DistanceOracle::QuantizationErrorBound:
-  /// 0 for exact oracles; for quantized hub labels, the proven fixed-point
-  /// bound. AverageReports takes the max across runs (a bound, not a mean).
-  double oracle_quant_error_bound = 0.0;
   double wall_seconds = 0.0;
   bool timed_out = false;
   /// SimOptions::num_threads of the run, recorded so every emitted result

@@ -279,7 +279,6 @@ SimReport Simulation::Run(const PlannerFactory& factory) {
   report.p99_response_ms = response_ms.Percentile(99);
   report.max_response_ms = response_ms.max();
   report.distance_queries = cached_->query_count();
-  report.oracle_quant_error_bound = cached_->QuantizationErrorBound();
   report.index_memory_bytes = planner->index_memory_bytes();
   report.wall_seconds = SecondsSince(t0);
   registry_->StopPeriodicExport();

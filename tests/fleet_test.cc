@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "src/sim/fleet.h"
 #include "src/sim/metrics.h"
 #include "tests/test_util.h"
@@ -135,6 +139,55 @@ TEST_F(FleetTest, ReplaceRouteReordersStops) {
   fleet.FinishAll();
   const InvariantReport rep = VerifyInvariants(fleet, env_.requests());
   EXPECT_TRUE(rep.ok) << rep.violation;
+}
+
+// Fixed leg costs, so the test controls exactly which doubles are summed.
+class LegTableOracle : public DistanceOracle {
+ public:
+  explicit LegTableOracle(std::map<std::pair<VertexId, VertexId>, double> t)
+      : table_(std::move(t)) {}
+  double Distance(VertexId u, VertexId v) override {
+    const auto it = table_.find({u, v});
+    EXPECT_NE(it, table_.end()) << "no leg " << u << " -> " << v;
+    return it == table_.end() ? kInf : it->second;
+  }
+  std::vector<VertexId> Path(VertexId u, VertexId v) override {
+    return {u, v};
+  }
+
+ private:
+  std::map<std::pair<VertexId, VertexId>, double> table_;
+};
+
+TEST_F(FleetTest, CommittedDistanceIndependentOfCommitOrder) {
+  // Worker 0 drives legs 0.1 then 0.7, worker 1 drives 0.3 then 0.2. The
+  // arrival heap commits them in time order (0.1, 0.3, 0.2, 0.7) while
+  // Touch and FinishAll commit worker by worker (0.1, 0.7, 0.3, 0.2); a
+  // single running sum rounds those two orders to different doubles
+  // (1.3 vs 1.2999999999999998).
+  LegTableOracle legs({{{0, 1}, 0.1}, {{1, 2}, 0.7},
+                       {{9, 8}, 0.3}, {{8, 7}, 0.2}});
+  const Request r0 = env_.AddRequest(1, 2, 0.0, 1e9);
+  const Request r1 = env_.AddRequest(8, 7, 0.0, 1e9);
+  Fleet by_heap = MakeFleet();
+  Fleet by_touch = MakeFleet();
+  Fleet by_finish = MakeFleet();
+  for (Fleet* f : {&by_heap, &by_touch, &by_finish}) {
+    f->ApplyInsertion(0, r0, 0, 0, &legs);
+    f->ApplyInsertion(1, r1, 0, 0, &legs);
+  }
+  by_heap.AdvanceTo(10.0);
+  by_touch.Touch(0, 10.0);
+  by_touch.Touch(1, 10.0);
+  by_finish.FinishAll();
+
+  for (const Fleet* f : {&by_heap, &by_touch, &by_finish}) {
+    EXPECT_TRUE(f->route(0).empty());
+    EXPECT_TRUE(f->route(1).empty());
+  }
+  EXPECT_EQ(by_heap.committed_distance(), by_touch.committed_distance());
+  EXPECT_EQ(by_heap.committed_distance(), by_finish.committed_distance());
+  EXPECT_EQ(by_heap.TotalPlannedDistance(), by_heap.committed_distance());
 }
 
 TEST_F(FleetTest, InvariantCheckerCatchesViolations) {

@@ -1,7 +1,6 @@
-// Tests for the flat-memory hot path: CSR hub labels (including the
-// rank-order-preserving parallel build), the fleet's version-keyed
-// route-state cache, the O(1) arrival prefix, and the per-request distance
-// columns feeding the insertion operators.
+// Tests for the flat-memory hot path: CSR hub labels, the fleet's
+// version-keyed route-state cache, the O(1) arrival prefix, and the
+// per-request distance columns feeding the insertion operators.
 
 #include <algorithm>
 #include <gtest/gtest.h>
@@ -11,13 +10,11 @@
 #include "src/graph/builders.h"
 #include "src/insertion/insertion.h"
 #include "src/model/feasibility.h"
-#include "src/parallel/thread_pool.h"
 #include "src/shortest/dijkstra.h"
 #include "src/shortest/hub_labels.h"
 #include "src/shortest/oracle.h"
 #include "src/sim/fleet.h"
 #include "src/util/rng.h"
-#include "src/workload/city.h"
 #include "tests/test_util.h"
 
 namespace urpsm {
@@ -80,44 +77,6 @@ TEST(HubLabelCsrTest, DisconnectedPairsAreInfinite) {
       }
     }
   }
-}
-
-TEST(HubLabelCsrTest, ParallelBuildBitIdenticalToSequential) {
-  // The speculative batch build must reproduce the sequential labeling
-  // exactly — offsets, hub ranks and distances — for every pool size.
-  std::vector<RoadNetwork> graphs;
-  {
-    Rng grng(51);
-    graphs.push_back(MakeRandomGeometricGraph(220, 14.0, 4, &grng));
-  }
-  {
-    CityParams p;
-    p.rows = 10;
-    p.cols = 10;
-    graphs.push_back(MakeCity(p));
-  }
-  graphs.push_back(MakeTwoComponentGraph());
-  graphs.push_back(MakeCycleGraph(37, 0.7));
-  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-    const RoadNetwork& g = graphs[gi];
-    const HubLabelOracle seq = HubLabelOracle::Build(g);
-    for (int threads : {2, 5, 8}) {
-      ThreadPool pool(threads);
-      const HubLabelOracle par = HubLabelOracle::Build(g, &pool);
-      EXPECT_TRUE(par.SameLabels(seq))
-          << "graph " << gi << ", threads=" << threads;
-    }
-  }
-}
-
-TEST(HubLabelCsrTest, NullAndSingleThreadPoolFallBackToSequential) {
-  const RoadNetwork g = MakeGridGraph(6, 6, 0.8);
-  const HubLabelOracle seq = HubLabelOracle::Build(g);
-  const HubLabelOracle null_pool = HubLabelOracle::Build(g, nullptr);
-  EXPECT_TRUE(null_pool.SameLabels(seq));
-  ThreadPool one(1);
-  const HubLabelOracle one_pool = HubLabelOracle::Build(g, &one);
-  EXPECT_TRUE(one_pool.SameLabels(seq));
 }
 
 // ------------------------------------------------- route version + arrivals

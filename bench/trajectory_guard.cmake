@@ -18,12 +18,6 @@
 #   4. all records carry the same git_sha (one file = one bench process;
 #      mixed shas mean a partial overwrite).
 #
-# The pipeline trajectory additionally must carry the speculation-conflict
-# axis: at least one record with axis=speculation_conflict, and every such
-# record must carry the incremental-planning counters (memo_hits,
-# memo_misses, replans_narrowed, replans_full, replan_ms) — a file without
-# them predates the eval-memo instrumentation and needs a regeneration.
-#
 # Usage: cmake -DREPO_ROOT=<repo> -P trajectory_guard.cmake
 
 if(NOT DEFINED REPO_ROOT)
@@ -31,7 +25,7 @@ if(NOT DEFINED REPO_ROOT)
 endif()
 
 # Record floors: the current full sweeps write 3 (oracle), 12 (insertion),
-# 18 (dispatch) and 55 (pipeline) lines; the floors leave headroom for
+# 18 (dispatch) and 39 (pipeline) lines; the floors leave headroom for
 # sweep-point tweaks but catch a file cut off mid-run or overwritten by a
 # smoke run (1-7 lines).
 set(floor_oracle 3)
@@ -53,7 +47,6 @@ foreach(stem oracle insertion dispatch pipeline)
       "(or a smoke run overwrote it)")
   endif()
   set(sha "")
-  set(conflict_records 0)
   foreach(line IN LISTS lines)
     if(line MATCHES "\"smoke\":\"1\"")
       message(FATAL_ERROR "trajectory_guard: ${path} contains smoke-sized "
@@ -73,19 +66,6 @@ foreach(stem oracle insertion dispatch pipeline)
         "but not the full p50/p95/p99 triple — regenerate with the current "
         "bench binaries: ${line}")
     endif()
-    # Speculation-conflict axis records must carry the full
-    # incremental-planning counter set.
-    if(line MATCHES "\"axis\":\"speculation_conflict\"")
-      math(EXPR conflict_records "${conflict_records} + 1")
-      foreach(field memo memo_hits memo_misses replans_narrowed replans_full
-              replan_ms)
-        if(NOT line MATCHES "\"${field}\":")
-          message(FATAL_ERROR "trajectory_guard: speculation_conflict "
-            "record in ${path} is missing \"${field}\" — regenerate with "
-            "the current bench binaries: ${line}")
-        endif()
-      endforeach()
-    endif()
     string(REGEX MATCH "\"git_sha\":\"([^\"]+)\"" m "${line}")
     if(sha STREQUAL "")
       set(sha "${CMAKE_MATCH_1}")
@@ -95,12 +75,6 @@ foreach(stem oracle insertion dispatch pipeline)
         "one run")
     endif()
   endforeach()
-  if(stem STREQUAL "pipeline" AND conflict_records LESS 4)
-    message(FATAL_ERROR "trajectory_guard: ${path} has ${conflict_records} "
-      "speculation_conflict records, expected at least 4 (memo off/on x "
-      "two thread counts) — the file predates the incremental-planning "
-      "axis; regenerate it without --smoke from the repo root")
-  endif()
   message(STATUS "trajectory_guard: ${path} ok (${count} records, "
     "sha ${sha})")
 endforeach()

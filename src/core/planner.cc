@@ -4,7 +4,6 @@
 
 #include "src/core/decision.h"
 #include "src/insertion/insertion.h"
-#include "src/shortest/oracle.h"
 #include "src/util/scratch.h"
 
 namespace urpsm {
@@ -61,120 +60,41 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
                                double L,
                                const std::vector<WorkerId>& candidates,
                                InsertionCandidate* best_out,
-                               std::int64_t* exact_evaluations,
-                               const SpecCapture* spec, EvalMemo* memo) {
-  // Multi-route gather (below) fetches every ordered candidate's columns
-  // in one fused sweep, so per-candidate query attribution — and with it
-  // the memo's re-billing contract — is impossible there. The memo also
-  // needs a CachedOracle to re-bill into; without one it stands down and
-  // the scan behaves exactly as if no memo were passed.
-  const bool batch_gather = spec == nullptr && !config.use_pruning;
-  CachedOracle* const billing =
-      memo != nullptr && !batch_gather
-          ? dynamic_cast<CachedOracle*>(ctx->oracle())
-          : nullptr;
-  const bool use_memo = billing != nullptr;
-
+                               std::int64_t* exact_evaluations) {
   // Phase 1 — decision (Algo. 4): per-worker lower bounds, no new queries.
   // Route states come from the fleet's per-worker cache (keyed on
   // Route::version): a worker whose route did not change since the last
-  // request reuses its arrays instead of re-deriving them.
-  // With a SpecCapture, each access additionally holds the worker's
-  // stripe lock (a commit stage may be mutating the fleet concurrently)
-  // and records the version it read.
+  // request reuses its arrays instead of re-deriving them. The fleet is
+  // frozen for the scan, so the cached state references stay valid while
+  // every candidate's Euclidean bound columns are gathered in one fused
+  // pass; each bound is bit-identical to the per-candidate call.
   thread_local std::vector<WorkerBound> bounds;
   thread_local HighWaterClamp bounds_clamp;
+  thread_local std::vector<const Worker*> batch_workers;
+  thread_local std::vector<const RouteState*> batch_states;
+  thread_local std::vector<double> batch_lbs;
+  thread_local HighWaterClamp batch_workers_clamp;
+  thread_local HighWaterClamp batch_states_clamp;
+  thread_local HighWaterClamp batch_lbs_clamp;
   bounds.clear();
-  double min_lb = kInf;
-  if (spec == nullptr) {
-    // Batched decision phase: the fleet is frozen for the scan (no commit
-    // stage mutates it), so the cached state references stay valid while
-    // the non-memoized candidates' Euclidean bound columns are gathered
-    // in one fused pass. Each bound is bit-identical to the per-candidate
-    // call — on subsets too, so memo hits simply drop out of the batch.
-    thread_local std::vector<const Worker*> batch_workers;
-    thread_local std::vector<const RouteState*> batch_states;
-    thread_local std::vector<double> batch_lbs;
-    thread_local std::vector<std::size_t> batch_slots;
-    thread_local std::vector<double> all_lbs;
-    thread_local HighWaterClamp batch_workers_clamp;
-    thread_local HighWaterClamp batch_states_clamp;
-    thread_local HighWaterClamp batch_lbs_clamp;
-    thread_local HighWaterClamp batch_slots_clamp;
-    thread_local HighWaterClamp all_lbs_clamp;
-    batch_workers.clear();
-    batch_states.clear();
-    batch_slots.clear();
-    all_lbs.assign(candidates.size(), kInf);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const WorkerId w = candidates[i];
-      if (use_memo) {
-        const EvalMemo::Entry* e = memo->Find(w, fleet->route(w).version());
-        if (e != nullptr && e->lb_valid) {
-          all_lbs[i] = e->lb;
-          ++memo->hits;
-          continue;
-        }
-        ++memo->misses;
-      }
-      batch_slots.push_back(i);
-      batch_workers.push_back(&fleet->worker(w));
-      batch_states.push_back(&fleet->CachedState(w, ctx));
-    }
-    BatchDecisionLowerBounds(batch_workers, batch_states, r, L, ctx->graph(),
-                             &batch_lbs);
-    for (std::size_t k = 0; k < batch_slots.size(); ++k) {
-      const std::size_t i = batch_slots[k];
-      all_lbs[i] = batch_lbs[k];
-      if (use_memo) {
-        const WorkerId w = candidates[i];
-        EvalMemo::Entry& e = memo->Upsert(w, fleet->route(w).version());
-        e.lb = batch_lbs[k];
-        e.lb_valid = true;
-      }
-    }
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const double lb = all_lbs[i];
-      if (lb == kInf) continue;  // provably infeasible for this worker
-      bounds.push_back({candidates[i], lb});
-      min_lb = std::min(min_lb, lb);
-    }
-    batch_workers_clamp.Observe(&batch_workers);
-    batch_states_clamp.Observe(&batch_states);
-    batch_lbs_clamp.Observe(&batch_lbs);
-    batch_slots_clamp.Observe(&batch_slots);
-    all_lbs_clamp.Observe(&all_lbs);
-  } else {
-    // Speculative scans hold the worker's stripe lock per access (a commit
-    // stage may be mutating the fleet concurrently) and record the version
-    // they read, so they keep the lazy per-candidate loop.
-    for (const WorkerId w : candidates) {
-      std::unique_lock<std::mutex> spec_lock = fleet->LockWorker(w);
-      const std::uint64_t version = fleet->route(w).version();
-      spec->versions->push_back({w, version});
-      double lb;
-      const EvalMemo::Entry* e =
-          use_memo ? memo->Find(w, version) : nullptr;
-      if (e != nullptr && e->lb_valid) {
-        lb = e->lb;
-        ++memo->hits;
-      } else {
-        const Route& route = fleet->route(w);
-        const RouteState& st = fleet->CachedStateLocked(w, ctx);
-        lb = DecisionLowerBound(fleet->worker(w), route, st, r, L,
-                                ctx->graph());
-        if (use_memo) {
-          ++memo->misses;
-          EvalMemo::Entry& fresh = memo->Upsert(w, version);
-          fresh.lb = lb;
-          fresh.lb_valid = true;
-        }
-      }
-      if (lb == kInf) continue;  // provably infeasible for this worker
-      bounds.push_back({w, lb});
-      min_lb = std::min(min_lb, lb);
-    }
+  batch_workers.clear();
+  batch_states.clear();
+  for (const WorkerId w : candidates) {
+    batch_workers.push_back(&fleet->worker(w));
+    batch_states.push_back(&fleet->CachedState(w, ctx));
   }
+  BatchDecisionLowerBounds(batch_workers, batch_states, r, L, ctx->graph(),
+                           &batch_lbs);
+  double min_lb = kInf;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const double lb = batch_lbs[i];
+    if (lb == kInf) continue;  // provably infeasible for this worker
+    bounds.push_back({candidates[i], lb});
+    min_lb = std::min(min_lb, lb);
+  }
+  batch_workers_clamp.Observe(&batch_workers);
+  batch_states_clamp.Observe(&batch_states);
+  batch_lbs_clamp.Observe(&batch_lbs);
   bounds_clamp.Observe(&bounds);
   if (bounds.empty()) return kInvalidWorker;
   // Line 5 of Algo. 4: reject when the penalty is cheaper than even the
@@ -185,11 +105,12 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
   const std::vector<std::size_t> order = AscendingLowerBoundOrder(bounds);
 
   // Multi-route gather: when the scan provably evaluates every ordered
-  // candidate (no Lemma 8 cutoff, no concurrent mutation), all candidates'
-  // origin/destination distance columns are fetched with one multi-source
-  // oracle sweep up front. Billed queries and cell values are identical to
-  // the lazy per-candidate gathers; pruned scans keep the lazy gather so
+  // candidate (no Lemma 8 cutoff), all candidates' origin/destination
+  // distance columns are fetched with one multi-source oracle sweep up
+  // front. Billed queries and cell values are identical to the lazy
+  // per-candidate gathers; pruned scans keep the lazy gather so
   // candidates cut off by Lemma 8 still pay no queries.
+  const bool batch_gather = !config.use_pruning;
   thread_local std::vector<DistanceColumns> multi_cols;
   thread_local HighWaterClamp multi_cols_clamp;
   if (batch_gather) {
@@ -223,60 +144,14 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
     const WorkerId w = bounds[k].worker;
     if (exact_evaluations != nullptr) ++*exact_evaluations;
     // The fleet is frozen between Touch and ApplyInsertion, so this hits
-    // the state cache warmed by the decision phase. (Speculative scans
-    // have no freeze — the stripe lock keeps the read consistent, and a
-    // mutation between the phases shows up as a version bump that fails
-    // commit-time validation.)
-    std::unique_lock<std::mutex> spec_lock;
-    if (spec != nullptr) spec_lock = fleet->LockWorker(w);
-    InsertionCandidate cand;
-    if (batch_gather) {
-      cand = LinearDpInsertion(fleet->worker(w), fleet->route(w),
-                               fleet->CachedState(w, ctx), r, multi_cols[ko],
-                               ctx);
-    } else if (use_memo) {
-      // A version-matched DP entry reproduces the exact evaluation —
-      // result and billed query count alike (both are pure functions of
-      // (route@version, request); CachedOracle bills cache hits too, so
-      // the count is warmth-independent). Hits re-bill the recorded
-      // count to the active scope; the queries actually avoided are
-      // accounted separately in saved_queries.
-      const std::uint64_t version = fleet->route(w).version();
-      const EvalMemo::Entry* e = memo->Find(w, version);
-      if (e != nullptr && e->dp_valid) {
-        ++memo->hits;
-        memo->saved_queries += e->queries;
-        billing->BillCurrent(e->queries);
-        cand.delta = e->delta;
-        cand.i = e->i;
-        cand.j = e->j;
-      } else {
-        ++memo->misses;
-        std::int64_t eval_queries = 0;
-        {
-          const CachedOracle::BillingScope eval_scope(&eval_queries);
-          cand = LinearDpInsertion(fleet->worker(w), fleet->route(w),
-                                   spec != nullptr
-                                       ? fleet->CachedStateLocked(w, ctx)
-                                       : fleet->CachedState(w, ctx),
-                                   r, ctx);
-        }
-        billing->BillCurrent(eval_queries);
-        EvalMemo::Entry& fresh = memo->Upsert(w, version);
-        fresh.delta = cand.delta;
-        fresh.i = cand.i;
-        fresh.j = cand.j;
-        fresh.queries = eval_queries;
-        fresh.dp_valid = true;
-      }
-    } else {
-      cand = LinearDpInsertion(fleet->worker(w), fleet->route(w),
-                               spec != nullptr
-                                   ? fleet->CachedStateLocked(w, ctx)
-                                   : fleet->CachedState(w, ctx),
-                               r, ctx);
-    }
-    spec_lock = {};
+    // the state cache warmed by the decision phase.
+    const InsertionCandidate cand =
+        batch_gather
+            ? LinearDpInsertion(fleet->worker(w), fleet->route(w),
+                                fleet->CachedState(w, ctx), r,
+                                multi_cols[ko], ctx)
+            : LinearDpInsertion(fleet->worker(w), fleet->route(w),
+                                fleet->CachedState(w, ctx), r, ctx);
     // Strict improvement only: ties on the exact cost go to the earliest
     // worker in the scan order. Together with the epsilon-guarded cutoff
     // above (which never prunes a potential tie, only strictly worse

@@ -8,11 +8,9 @@
 #include <vector>
 
 #include "src/core/decision.h"
-#include "src/core/eval_memo.h"
 #include "src/index/grid_index.h"
 #include "src/model/feasibility.h"
 #include "src/sim/fleet.h"
-#include "src/util/stats.h"
 
 namespace urpsm {
 
@@ -90,15 +88,11 @@ class BatchPlanner : public RoutePlanner {
 /// plus the shard's maximum displacement (v_max times the oldest member
 /// anchor's lag) provably cannot enter the filter's grid cells, so the
 /// filter runs as soon as the shards within that ball advanced — the
-/// global advance barrier is gone. With pipeline depth k > 2, a window
-/// whose predecessor is still committing is planned *speculatively*
-/// against the live fleet (per-candidate route versions captured under
-/// the mutex stripes); its commit stage re-advances, re-filters and
-/// keeps each request's speculative proposal only when its candidate
-/// list and every captured version still hold, replanning the diverged
-/// rest — so results are identical at every depth. CommitWindow calls
-/// are issued strictly in epoch order from a single thread, and OnBatch
-/// must remain exactly PlanWindow + CommitWindow fused (one
+/// global advance barrier is gone. Planning never reads a shard before
+/// window k released it, so the window slots form a double buffer: at
+/// most one window plans while the previous one commits. CommitWindow
+/// calls are issued strictly in epoch order from a single thread, and
+/// OnBatch must remain exactly PlanWindow + CommitWindow fused (one
 /// implementation of the planning logic, so the windowed and pipelined
 /// loops cannot drift).
 class PipelinedBatchPlanner : public BatchPlanner {
@@ -114,31 +108,6 @@ class PipelinedBatchPlanner : public BatchPlanner {
   /// proposal (or potential replan) retires. Commit-thread only; called
   /// once per planned window, in epoch order.
   virtual void CommitWindow(WindowEpoch epoch) = 0;
-  /// Sizes the window-slot ring before the pipelined loop starts (depth
-  /// >= 2; depth 2 reproduces the classic double buffer, larger depths
-  /// enable speculative planning). Must not be called mid-run.
-  virtual void ConfigurePipeline(int depth) { (void)depth; }
-  /// Speculatively planned requests whose proposals survived commit-time
-  /// validation / had to be replanned. Quiescent reads (after the run).
-  virtual std::int64_t speculation_hits() const { return 0; }
-  virtual std::int64_t speculation_misses() const { return 0; }
-  /// EvalMemo lookup traffic across all planning/validation/commit scans
-  /// (one hit or miss per consultation; see EvalMemo). Quiescent reads.
-  virtual std::int64_t memo_hits() const { return 0; }
-  virtual std::int64_t memo_misses() const { return 0; }
-  /// Distance queries memo hits avoided issuing (hits re-bill the
-  /// recorded count instead, so reported query totals stay
-  /// memo-independent; the avoided work is accounted here).
-  virtual std::int64_t memo_saved_queries() const { return 0; }
-  /// Replans (validation misses and commit conflicts) split by whether
-  /// they reused at least one memoized evaluation ("narrowed") or had to
-  /// recompute everything ("full"). Quiescent reads.
-  virtual std::int64_t replans_narrowed() const { return 0; }
-  virtual std::int64_t replans_full() const { return 0; }
-  /// Per validation replan: the fraction of that scan's memo lookups
-  /// that missed — 0 means the replan was pure reuse, 1 means a fully
-  /// fresh recomputation. Quiescent reads.
-  virtual StatsAccumulator replan_scope() const { return StatsAccumulator{}; }
 };
 
 /// Builds the planner under test once the simulation has wired up the
@@ -154,11 +123,6 @@ struct PlannerConfig {
   /// Ablation (off in the paper): also reject when the *exact* minimal
   /// increased distance ends up exceeding p_r / alpha.
   bool exact_reject_check = false;
-  /// Route-version memoization of decision bounds and DP evaluations
-  /// inside the dispatch-window engine (see EvalMemo). Results and
-  /// reported query totals are bit-identical either way; off disables
-  /// the reuse for A/B measurement.
-  bool use_eval_memo = true;
 };
 
 /// pruneGreedyDP (Algo. 5) and its unpruned ablation GreedyDP.
@@ -240,34 +204,12 @@ std::vector<WorkerId> FilterCandidates(PlanningContext* ctx,
 /// time; `L` is the request's direct distance. Returns kInvalidWorker on
 /// rejection, else the chosen worker with `*best` filled. Each linear-DP
 /// evaluation increments *exact_evaluations when non-null.
-/// Speculative-evaluation capture for PlanRequestSequential: when
-/// non-null, every candidate access (decision bound and DP insertion)
-/// runs under the worker's Fleet::LockWorker stripe — the fleet may be
-/// mutated concurrently by a commit stage — and the route version seen
-/// at bound time is recorded per candidate into `versions`. Versions
-/// only ever grow, so "every recorded version still current at commit
-/// time" proves the whole speculative scan read exactly the state a
-/// fresh scan would read.
-struct SpecCapture {
-  std::vector<std::pair<WorkerId, std::uint64_t>>* versions = nullptr;
-};
-
-/// `memo`, when non-null, memoizes per-candidate evaluations keyed on
-/// route version (see EvalMemo): version-matched lookups reuse the
-/// recorded bound / DP result and re-bill the recorded query count to the
-/// thread's active billing scope, so the scan's outcome AND its reported
-/// query total are bit-identical to a fresh scan. The memo is ignored on
-/// the batch-gather path (pruning off, non-speculative) where per-
-/// candidate query attribution is impossible, and when the context's
-/// oracle is not a CachedOracle (no billing scope to re-bill into).
 WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
                                const PlannerConfig& config, const Request& r,
                                double L,
                                const std::vector<WorkerId>& candidates,
                                InsertionCandidate* best,
-                               std::int64_t* exact_evaluations,
-                               const SpecCapture* spec = nullptr,
-                               EvalMemo* memo = nullptr);
+                               std::int64_t* exact_evaluations);
 
 /// FilterCandidates into a caller-owned reusable buffer (cleared first):
 /// the allocation-free variant the window workspaces use. The returning

@@ -43,17 +43,11 @@ class Route {
 
   /// Mutation counter: bumped by Insert, SetStops, PopFront and
   /// set_anchor_time. Equal versions of the same Route object imply an
-  /// identical route; cache RouteState and schedules against it.
-  ///
-  /// The incremental planning layer leans on the same guarantee one level
-  /// up: EvalMemo keys a request's per-worker evaluations (decision lower
-  /// bound, insertion-DP delta/position, billed query count) on
-  /// (worker, version). Because an evaluation is a pure function of
-  /// (route, request), an entry at the current version can be replayed
-  /// verbatim — including re-billing its recorded query count — and a
-  /// replan only recomputes workers whose version moved. The counter must
-  /// therefore keep bumping on EVERY mutation, even ones that restore a
-  /// previous byte-identical state (the memo never compares content).
+  /// identical route; cache RouteState and schedules against it. The
+  /// dispatch-window engine also stamps each proposal with the version it
+  /// planned against and replans when the version moved before commit, so
+  /// the counter must bump on EVERY mutation, even one that restores a
+  /// previous byte-identical state (no consumer compares content).
   std::uint64_t version() const { return version_; }
 
   const std::vector<Stop>& stops() const { return stops_; }

@@ -96,19 +96,6 @@ void FleetShards::WaitCommitted(int s, std::uint64_t epoch) const {
   commit_wait_hist_->Observe(ms);
 }
 
-bool FleetShards::TryCommitted(int s, std::uint64_t epoch) const {
-  const std::lock_guard<std::mutex> lock(epoch_mu_);
-  return committed_epoch_[static_cast<std::size_t>(s)] >= epoch;
-}
-
-bool FleetShards::AllCommittedAtLeast(std::uint64_t epoch) const {
-  const std::lock_guard<std::mutex> lock(epoch_mu_);
-  for (const std::uint64_t mark : committed_epoch_) {
-    if (mark < epoch) return false;
-  }
-  return true;
-}
-
 void FleetShards::MarkCommitted(int s, std::uint64_t epoch) {
   {
     const std::lock_guard<std::mutex> lock(epoch_mu_);
@@ -133,38 +120,6 @@ void FleetShards::MarkAllCommitted(std::uint64_t epoch) {
 std::uint64_t FleetShards::CommittedEpoch(int s) const {
   const std::lock_guard<std::mutex> lock(epoch_mu_);
   return committed_epoch_[static_cast<std::size_t>(s)];
-}
-
-std::uint64_t FleetShards::MinCommittedEpoch() const {
-  const std::lock_guard<std::mutex> lock(epoch_mu_);
-  std::uint64_t min_mark = ~std::uint64_t{0};
-  for (const std::uint64_t mark : committed_epoch_) {
-    min_mark = std::min(min_mark, mark);
-  }
-  return committed_epoch_.empty() ? 0 : min_mark;
-}
-
-void FleetShards::RecordDirty(std::uint64_t epoch, WorkerId w) {
-  const std::lock_guard<std::mutex> lock(dirty_mu_);
-  dirty_log_.emplace_back(epoch, w);
-}
-
-void FleetShards::CollectDirtySince(std::uint64_t base,
-                                    std::vector<WorkerId>* out) const {
-  out->clear();
-  const std::lock_guard<std::mutex> lock(dirty_mu_);
-  for (const auto& [epoch, w] : dirty_log_) {
-    if (epoch > base) out->push_back(w);
-  }
-}
-
-void FleetShards::PruneDirtyBefore(std::uint64_t epoch) {
-  const std::lock_guard<std::mutex> lock(dirty_mu_);
-  auto keep = dirty_log_.begin();
-  for (auto& entry : dirty_log_) {
-    if (entry.first > epoch) *keep++ = entry;
-  }
-  dirty_log_.erase(keep, dirty_log_.end());
 }
 
 void FleetShards::RegisterMetrics(obs::Registry* reg) {

@@ -16,7 +16,7 @@ DispatchWindowPlanner::DispatchWindowPlanner(PlanningContext* ctx,
                                              Fleet* fleet,
                                              PlannerConfig config,
                                              ThreadPool* pool)
-    : ctx_(ctx), fleet_(fleet), config_(config), pool_(pool), slots_(2) {
+    : ctx_(ctx), fleet_(fleet), config_(config), pool_(pool) {
   Point lo, hi;
   ctx_->graph().BoundingBox(&lo, &hi);
   index_ = std::make_unique<GridIndex>(lo, hi, config_.grid_cell_km);
@@ -31,26 +31,15 @@ DispatchWindowPlanner::DispatchWindowPlanner(PlanningContext* ctx,
   shards_->set_faults(ctx_->faults());
   commit_heads_ = std::vector<std::atomic<std::size_t>>(
       static_cast<std::size_t>(shards_->num_shards()));
-  // Speculative query billing needs the cache layer; without it the
-  // speculative path still produces identical assignments, only the
-  // reported query count would include abandoned speculative work.
-  billing_ = dynamic_cast<CachedOracle*>(ctx_->oracle());
   // Instrument wiring: instruments observe wall times and event counts
   // only — never anything planning reads — so the determinism contract
   // (bit-identical results with or without observability) holds.
   if (obs::Registry* reg = ctx_->metrics();
       reg != nullptr && reg->enabled()) {
     windows_counter_ = reg->GetCounter("engine.windows");
-    spec_hit_counter_ = reg->GetCounter("engine.spec.hits");
-    spec_miss_counter_ = reg->GetCounter("engine.spec.misses");
     conflict_replan_counter_ = reg->GetCounter("engine.commit.replans");
-    memo_hit_counter_ = reg->GetCounter("memo.hit");
-    memo_miss_counter_ = reg->GetCounter("memo.miss");
-    replan_narrowed_counter_ = reg->GetCounter("replan.narrowed");
-    replan_full_counter_ = reg->GetCounter("replan.full");
     ticket_wait_hist_ = reg->GetHistogram("engine.commit.ticket_wait_ms");
     conflict_replan_hist_ = reg->GetHistogram("engine.commit.replan_ms");
-    spec_replan_hist_ = reg->GetHistogram("engine.spec.replan_ms");
     shards_->RegisterMetrics(reg);
   }
   if (obs::TraceRecorder* t = ctx_->tracer();
@@ -61,18 +50,6 @@ DispatchWindowPlanner::DispatchWindowPlanner(PlanningContext* ctx,
 
 DispatchWindowPlanner::~DispatchWindowPlanner() {
   fleet_->AttachShards(nullptr);
-}
-
-void DispatchWindowPlanner::ConfigurePipeline(int depth) {
-  depth_ = std::max(2, depth);
-  pipelined_ = true;
-  // The ring is rebuilt, not resized: WindowSlot carries an atomic and is
-  // deliberately non-movable, and no window is in flight here.
-  slots_ = std::vector<WindowSlot>(static_cast<std::size_t>(depth_));
-  if (commit_pool_ == nullptr && pool_ != nullptr &&
-      pool_->num_threads() > 1) {
-    commit_pool_ = std::make_unique<ThreadPool>(pool_->num_threads());
-  }
 }
 
 void DispatchWindowPlanner::ForEachOn(
@@ -111,29 +88,21 @@ void DispatchWindowPlanner::PlanAndApplySingle(const Request& r, double now) {
 
 bool DispatchWindowPlanner::PlanSequential(
     const Request& r, const std::vector<WorkerId>& candidates, Proposal* out,
-    std::int64_t* evals, const SpecCapture* spec, EvalMemo* memo) {
+    std::int64_t* evals) {
   // Funnels through the one shared sequential scan, so batch planning,
-  // speculative planning, singleton batches and conflict replans can
-  // never drift from GreedyDpPlanner::OnRequest.
+  // singleton batches and conflict replans can never drift from
+  // GreedyDpPlanner::OnRequest.
   const double L = ctx_->DirectDist(r.id);
   InsertionCandidate best;
   const WorkerId best_worker = PlanRequestSequential(
-      ctx_, fleet_, config_, r, L, candidates, &best, evals, spec, memo);
+      ctx_, fleet_, config_, r, L, candidates, &best, evals);
   if (best_worker == kInvalidWorker) return false;
   out->request = r.id;
   out->worker = best_worker;
   out->delta = best.delta;
   out->i = best.i;
   out->j = best.j;
-  if (spec != nullptr) {
-    // The fleet is live under a speculative scan: the version stamp must
-    // be read under the worker's stripe. (It is overwritten with the
-    // then-current version if the proposal survives validation.)
-    const std::unique_lock<std::mutex> lock = fleet_->LockWorker(best_worker);
-    out->route_version = fleet_->route(best_worker).version();
-  } else {
-    out->route_version = fleet_->route(best_worker).version();
-  }
+  out->route_version = fleet_->route(best_worker).version();
   return true;
 }
 
@@ -148,9 +117,9 @@ void DispatchWindowPlanner::OnBatch(const std::vector<RequestId>& batch,
     shards_->MarkAllCommitted(epoch);
     return;
   }
-  WindowSlot& slot = slots_[epoch % static_cast<WindowEpoch>(depth_)];
-  PlanExact(&slot, batch, now, epoch, /*self_advance=*/false);
-  CommitSlot(&slot);
+  WindowSlot& slot = slots_[epoch % slots_.size()];
+  PlanSlot(&slot, batch, now, epoch, /*self_advance=*/false);
+  CommitSlot(&slot, pool_);
 }
 
 void DispatchWindowPlanner::PlanWindow(const std::vector<RequestId>& batch,
@@ -158,58 +127,39 @@ void DispatchWindowPlanner::PlanWindow(const std::vector<RequestId>& batch,
   // The pipelined mode funnels even singleton windows through the full
   // plan/commit split: PlanAndApplySingle mutates the fleet, which the
   // planning stage must not do while the previous commit is in flight.
-  WindowSlot& slot = slots_[epoch % static_cast<WindowEpoch>(depth_)];
-  // Exact-vs-speculative probe: with the classic double buffer there is
-  // nothing to decide (the advance gate waits for window e-1 anyway);
-  // deeper rings plan exactly when the previous window already fully
-  // committed — the probe races the commit tail, but BOTH outcomes
-  // produce identical results (a speculative window whose fleet never
-  // changes validates clean), so the race is benign for determinism.
-  const bool exact = depth_ <= 2 || epoch <= 1 ||
-                     shards_->AllCommittedAtLeast(epoch - 1);
-  if (exact) {
-    PlanExact(&slot, batch, now, epoch, /*self_advance=*/true);
-  } else {
-    PlanSpeculative(&slot, batch, now, epoch);
-  }
+  PlanSlot(&slots_[epoch % slots_.size()], batch, now, epoch,
+           /*self_advance=*/true);
 }
 
 void DispatchWindowPlanner::CommitWindow(WindowEpoch epoch) {
-  WindowSlot& slot = slots_[epoch % static_cast<WindowEpoch>(depth_)];
+  WindowSlot& slot = slots_[epoch % slots_.size()];
   assert(slot.epoch == epoch && "CommitWindow out of order");
-  CommitSlot(&slot);
+  if (commit_pool_ == nullptr && pool_ != nullptr &&
+      pool_->num_threads() > 1) {
+    commit_pool_ = std::make_unique<ThreadPool>(pool_->num_threads());
+  }
+  CommitSlot(&slot, commit_pool_.get());
 }
 
-void DispatchWindowPlanner::PlanExact(WindowSlot* slot,
-                                      const std::vector<RequestId>& batch,
-                                      double now, WindowEpoch epoch,
-                                      bool self_advance) {
+void DispatchWindowPlanner::PlanSlot(WindowSlot* slot,
+                                     const std::vector<RequestId>& batch,
+                                     double now, WindowEpoch epoch,
+                                     bool self_advance) {
   const obs::TraceSpan span(
-      tracer_, "window.plan_exact",
+      tracer_, "window.plan",
       {{"epoch", static_cast<std::int64_t>(epoch)},
        {"batch", static_cast<std::int64_t>(batch.size())}});
   obs::Inc(windows_counter_);
   const auto shard_count = static_cast<std::size_t>(shards_->num_shards());
 
-  // ---- 0. Slot-free gate: the ring slot was last used by window
-  // epoch - depth_, whose commit must have fully retired before any slot
-  // field is rewritten. (The fused mode commits synchronously and the
-  // waits return immediately.)
-  if (epoch > static_cast<WindowEpoch>(depth_)) {
-    const WindowEpoch freed = epoch - static_cast<WindowEpoch>(depth_);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      shards_->WaitCommitted(static_cast<int>(s), freed);
-    }
-  }
+  // The slot last held window epoch - 2, whose shards window epoch - 1's
+  // advance gate already waited for (the fused mode commits
+  // synchronously), so the planning thread owns every slot buffer.
   assert(slot->state.load(std::memory_order_relaxed) == SlotState::kFree);
   slot->state.store(SlotState::kFilling, std::memory_order_relaxed);
   slot->epoch = epoch;
-  slot->now = now;
-  slot->speculative = false;
   // Reusable window workspace: trim capacity back toward the recent
-  // high-water mark before refilling. Safe here — the slot-free gate
-  // above proves the previous tenant's commit fully retired, so the
-  // planning thread owns every slot buffer.
+  // high-water mark before refilling.
   slot->preps_clamp.Observe(&slot->preps);
   slot->footprints_clamp.Observe(&slot->footprints);
 
@@ -230,7 +180,6 @@ void DispatchWindowPlanner::PlanExact(WindowSlot* slot,
     p.prepped = false;
     p.planned = false;
     p.required_mask = 0;
-    p.memo.Reset();  // new request in this prep element — drop stale entries
     p.r = &ctx_->request(batch[b]);
     p.L = ctx_->DirectDist(p.r->id);
     if (!gated) continue;
@@ -327,272 +276,10 @@ void DispatchWindowPlanner::PlanExact(WindowSlot* slot,
     Prep& p = preps[b];
     if (!p.alive) return;
     p.evals = 0;
-    p.planned = PlanSequential(*p.r, p.candidates, &proposals[b], &p.evals,
-                               /*spec=*/nullptr,
-                               config_.use_eval_memo ? &p.memo : nullptr);
+    p.planned = PlanSequential(*p.r, p.candidates, &proposals[b], &p.evals);
   });
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
-  std::int64_t saved = 0;
-  for (Prep& p : preps) {
+  for (const Prep& p : preps) {
     if (p.alive) exact_evaluations_ += p.evals;
-    p.memo.Drain(&hits, &misses, &saved);
-  }
-  memo_hits_ += hits;
-  memo_misses_ += misses;
-  memo_saved_ += saved;
-  obs::Inc(memo_hit_counter_, hits);
-  obs::Inc(memo_miss_counter_, misses);
-
-  BuildAcceptSchedule(slot);
-}
-
-void DispatchWindowPlanner::PlanSpeculative(
-    WindowSlot* slot, const std::vector<RequestId>& batch, double now,
-    WindowEpoch epoch) {
-  const obs::TraceSpan span(
-      tracer_, "window.plan_speculative",
-      {{"epoch", static_cast<std::int64_t>(epoch)},
-       {"batch", static_cast<std::int64_t>(batch.size())}});
-  obs::Inc(windows_counter_);
-  const auto shard_count = static_cast<std::size_t>(shards_->num_shards());
-  // Slot-free gate, as in PlanExact — the speculative path has no
-  // advance gate to imply it.
-  if (epoch > static_cast<WindowEpoch>(depth_)) {
-    const WindowEpoch freed = epoch - static_cast<WindowEpoch>(depth_);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      shards_->WaitCommitted(static_cast<int>(s), freed);
-    }
-  }
-  assert(slot->state.load(std::memory_order_relaxed) == SlotState::kFree);
-  slot->state.store(SlotState::kFilling, std::memory_order_relaxed);
-  slot->epoch = epoch;
-  slot->now = now;
-  slot->speculative = true;
-  // Reusable window workspace, as on the exact path.
-  slot->preps_clamp.Observe(&slot->preps);
-  slot->footprints_clamp.Observe(&slot->footprints);
-  // Dirty-set baseline: every fleet mutation the commit stages perform
-  // after this stamp carries a dirty-log tag > spec_base, so validation
-  // can collect exactly the workers that may have changed under the scan.
-  slot->spec_base = shards_->MinCommittedEpoch();
-
-  // ---- Provisional prep against the live fleet: no advance, no touch,
-  // no Rebuild — those are the committing thread's to perform. The
-  // filter runs under the commit lock, which serializes it against the
-  // grid moves of concurrently committing stops.
-  std::vector<Prep>& preps = slot->preps;
-  preps.resize(batch.size());
-  for (std::size_t b = 0; b < batch.size(); ++b) {
-    Prep& p = preps[b];
-    p.prepped = true;
-    p.planned = false;
-    p.required_mask = 0;
-    p.memo.Reset();  // new request in this prep element — drop stale entries
-    p.r = &ctx_->request(batch[b]);
-    p.L = ctx_->DirectDist(p.r->id);  // memoized once; globally billed
-    {
-      const std::unique_lock<std::mutex> lock = fleet_->LockCommitState();
-      FilterCandidatesInto(ctx_, *index_, *p.r, p.L, now, &p.candidates);
-    }
-    p.alive = !p.candidates.empty();
-  }
-
-  // ---- Speculative planning: per-candidate accesses under the mutex
-  // stripes with route versions captured; distance queries billed to the
-  // request's private sink (re-billed only if the speculation survives).
-  slot->state.store(SlotState::kPlanning, std::memory_order_relaxed);
-  std::vector<Proposal>& proposals = slot->proposals;
-  proposals.assign(preps.size(), Proposal{});
-  ForEach(preps.size(), [&](std::int64_t i) {
-    const auto b = static_cast<std::size_t>(i);
-    Prep& p = preps[b];
-    if (!p.alive) return;
-    p.evals = 0;
-    p.spec_queries = 0;
-    p.spec_versions.clear();
-    const SpecCapture capture{&p.spec_versions};
-    EvalMemo* const memo = config_.use_eval_memo ? &p.memo : nullptr;
-    if (billing_ != nullptr) {
-      const CachedOracle::BillingScope scope(&p.spec_queries);
-      p.planned = PlanSequential(*p.r, p.candidates, &proposals[b], &p.evals,
-                                 &capture, memo);
-    } else {
-      p.planned = PlanSequential(*p.r, p.candidates, &proposals[b], &p.evals,
-                                 &capture, memo);
-    }
-  });
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
-  std::int64_t saved = 0;
-  for (Prep& p : preps) p.memo.Drain(&hits, &misses, &saved);
-  memo_hits_ += hits;
-  memo_misses_ += misses;
-  memo_saved_ += saved;
-  obs::Inc(memo_hit_counter_, hits);
-  obs::Inc(memo_miss_counter_, misses);
-  // No accept schedule yet: commit-time validation re-derives candidates
-  // and versions, then builds it from the surviving proposals.
-}
-
-void DispatchWindowPlanner::ValidateSpeculative(WindowSlot* slot) {
-  const obs::TraceSpan span(
-      tracer_, "window.validate",
-      {{"epoch", static_cast<std::int64_t>(slot->epoch)}});
-  const double now = slot->now;
-  const auto shard_count = static_cast<std::size_t>(shards_->num_shards());
-  std::vector<Prep>& preps = slot->preps;
-  std::int64_t window_hits = 0;
-  std::int64_t window_misses = 0;
-
-  // The committing thread is the only committer and window epoch-1 fully
-  // retired before CommitWindow(epoch) was called, so the full advance
-  // runs without epoch waits — in the same fixed shard-then-worker order
-  // the exact path uses, producing the identical commit-event stream.
-  // Version bumps are logged to the dirty set: later in-flight
-  // speculative slots must see these advances as mutations too.
-  const bool track_dirty = pipelined_ && depth_ > 2;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    for (const WorkerId w : shards_->workers_in(static_cast<int>(s))) {
-      const std::uint64_t v0 = fleet_->route(w).version();
-      fleet_->AdvanceWorkerTo(w, now);
-      if (track_dirty && fleet_->route(w).version() != v0) {
-        shards_->RecordDirty(slot->epoch, w);
-      }
-    }
-  }
-  // Fresh filter + touch, exactly as a non-speculative prep would run
-  // (batch order, first touch wins). Touches commit nothing — everything
-  // just advanced — so this only bumps idle anchors, which shows up as a
-  // version change on any speculatively-read candidate it affects.
-  touched_.assign(static_cast<std::size_t>(fleet_->size()), 0);
-  for (Prep& p : preps) {
-    FilterCandidatesInto(ctx_, *index_, *p.r, p.L, now, &p.fresh);
-    for (const WorkerId w : p.fresh) {
-      auto& flag = touched_[static_cast<std::size_t>(w)];
-      if (flag == 0) {
-        flag = 1;
-        const std::uint64_t v0 = fleet_->route(w).version();
-        fleet_->Touch(w, now);
-        if (track_dirty && fleet_->route(w).version() != v0) {
-          shards_->RecordDirty(slot->epoch, w);
-        }
-      }
-    }
-  }
-  shards_->Rebuild();
-
-  // Dirty set since the scan's baseline: a proven superset of the workers
-  // whose routes can have changed under the speculative scan (the commit
-  // stages — the fleet's only mutators while windows are in flight — log
-  // every worker they touch).
-  shards_->CollectDirtySince(slot->spec_base, &dirty_scratch_);
-  dirty_flag_.assign(static_cast<std::size_t>(fleet_->size()), 0);
-  for (const WorkerId w : dirty_scratch_) {
-    dirty_flag_[static_cast<std::size_t>(w)] = 1;
-  }
-
-  // Hit = the speculative scan provably read what a fresh scan would
-  // read: same candidate list, and every captured route version still
-  // current (versions only grow — any mutation in between, including the
-  // idle bumps above, fails the check). Misses replan from scratch
-  // against the now-advanced fleet; their sink-billed queries are
-  // dropped, the replan bills globally like any exact scan.
-  std::int64_t replan_evals = 0;
-  for (std::size_t b = 0; b < preps.size(); ++b) {
-    Prep& p = preps[b];
-    bool hit = p.fresh == p.candidates;
-    if (hit) {
-      // Fast path: no speculatively-read worker appears in the dirty set,
-      // so every captured version is provably still current — the
-      // per-candidate comparison is skipped entirely. Dirty candidates
-      // (a conservative superset of actual changes) still get the exact
-      // version check, so both paths accept exactly the same scans.
-      bool any_dirty = false;
-      for (const auto& [w, version] : p.spec_versions) {
-        if (dirty_flag_[static_cast<std::size_t>(w)] != 0) {
-          any_dirty = true;
-          break;
-        }
-      }
-      if (any_dirty) {
-        for (const auto& [w, version] : p.spec_versions) {
-          if (fleet_->route(w).version() != version) {
-            hit = false;
-            break;
-          }
-        }
-      }
-    }
-    if (hit) {
-      if (p.alive) {
-        ++spec_hits_;
-        ++window_hits;
-        obs::Inc(spec_hit_counter_);
-        slot->commit_evals += p.evals;
-        if (billing_ != nullptr) billing_->AddBilled(p.spec_queries);
-      }
-      // Dead on both sides: nothing was speculated, nothing to validate.
-      continue;
-    }
-    ++spec_misses_;
-    ++window_misses;
-    obs::Inc(spec_miss_counter_);
-    p.candidates = p.fresh;
-    p.alive = !p.candidates.empty();
-    p.planned = false;
-    slot->proposals[b] = Proposal{};
-    if (p.alive) {
-      // Replan through the request's memo: every candidate whose route
-      // version held since the speculative scan reuses its recorded
-      // evaluation verbatim, so the replan's fresh work is O(changed
-      // candidates), not O(candidates).
-      const std::int64_t h0 = p.memo.hits;
-      const std::int64_t m0 = p.memo.misses;
-      {
-        const obs::ScopedTimerMs replan_timer(spec_replan_hist_);
-        p.planned = PlanSequential(*p.r, p.candidates, &slot->proposals[b],
-                                   &replan_evals, /*spec=*/nullptr,
-                                   config_.use_eval_memo ? &p.memo : nullptr);
-      }
-      const std::int64_t reused = p.memo.hits - h0;
-      const std::int64_t fresh = p.memo.misses - m0;
-      if (reused > 0) {
-        ++slot->commit_narrowed;
-        obs::Inc(replan_narrowed_counter_);
-        if (tracer_ != nullptr) {
-          tracer_->Instant("replan.narrowed",
-                           {{"epoch", static_cast<std::int64_t>(slot->epoch)},
-                            {"request", p.r->id},
-                            {"reused", reused}});
-        }
-      } else {
-        ++slot->commit_full;
-        obs::Inc(replan_full_counter_);
-      }
-      if (reused + fresh > 0) {
-        replan_scope_.Add(static_cast<double>(fresh) /
-                          static_cast<double>(reused + fresh));
-      }
-    }
-  }
-  slot->commit_evals += replan_evals;
-  // Validation-stage memo traffic (the planning-stage traffic was drained
-  // on the planning thread; Drain zeroes, so this picks up the delta).
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
-  std::int64_t saved = 0;
-  for (Prep& p : preps) p.memo.Drain(&hits, &misses, &saved);
-  slot->commit_memo_hits += hits;
-  slot->commit_memo_misses += misses;
-  slot->commit_memo_saved += saved;
-  obs::Inc(memo_hit_counter_, hits);
-  obs::Inc(memo_miss_counter_, misses);
-  if (tracer_ != nullptr) {
-    tracer_->Instant("speculation",
-                     {{"epoch", static_cast<std::int64_t>(slot->epoch)},
-                      {"hits", window_hits},
-                      {"misses", window_misses}});
   }
 
   BuildAcceptSchedule(slot);
@@ -652,10 +339,9 @@ void DispatchWindowPlanner::BuildAcceptSchedule(WindowSlot* slot) {
   }
 }
 
-void DispatchWindowPlanner::CommitSlot(WindowSlot* slot) {
+void DispatchWindowPlanner::CommitSlot(WindowSlot* slot, ThreadPool* pool) {
   assert(slot->state.load(std::memory_order_relaxed) == SlotState::kPlanning);
   slot->state.store(SlotState::kCommitting, std::memory_order_relaxed);
-  if (slot->speculative) ValidateSpeculative(slot);
 
   const WindowEpoch epoch = slot->epoch;
   const auto shard_count = static_cast<std::size_t>(shards_->num_shards());
@@ -681,12 +367,7 @@ void DispatchWindowPlanner::CommitSlot(WindowSlot* slot) {
     commit_heads_[s].store(0, std::memory_order_relaxed);
   }
   apply_stats_.assign(n, ApplyStats{});
-  // Dirty recording matters only while speculative scans can be in
-  // flight (a deep pipelined ring); the fused and double-buffer modes
-  // never consult the log.
-  const bool track_dirty = pipelined_ && depth_ > 2;
-  ThreadPool* commit_exec = pipelined_ ? commit_pool_.get() : pool_;
-  ForEachOn(commit_exec, n, [&](std::int64_t i) {
+  ForEachOn(pool, n, [&](std::int64_t i) {
     const auto idx = static_cast<std::size_t>(i);
     const std::size_t b = slot->accepted[idx];
     Proposal& p = slot->proposals[b];
@@ -724,41 +405,24 @@ void DispatchWindowPlanner::CommitSlot(WindowSlot* slot) {
         // Still the fleet snapshot the proposal was computed against (for
         // this worker): feasibility and delta hold verbatim.
         fleet_->ApplyInsertion(p.worker, r, p.i, p.j, ctx_->oracle());
-        if (track_dirty) shards_->RecordDirty(epoch, p.worker);
       } else {
         // An earlier (cheaper) batch member took this worker: replan
         // against the updated fleet. The grid index did not move (Insert
         // keeps anchors), so the original candidate list is still the
-        // filter's output. The request's memo narrows the replan to the
-        // candidates whose routes actually changed; untouched candidates
-        // reuse their recorded evaluations verbatim.
+        // filter's output.
         ApplyStats& stats = apply_stats_[idx];
         stats.replans = 1;
         obs::Inc(conflict_replan_counter_);
-        Prep& prep = slot->preps[b];
         Proposal replanned;
         bool planned = false;
         {
           const obs::ScopedTimerMs replan_timer(conflict_replan_hist_);
-          planned = PlanSequential(
-              r, prep.candidates, &replanned, &stats.evals,
-              /*spec=*/nullptr, config_.use_eval_memo ? &prep.memo : nullptr);
+          planned = PlanSequential(r, slot->preps[b].candidates, &replanned,
+                                   &stats.evals);
         }
         if (planned) {
           fleet_->ApplyInsertion(replanned.worker, r, replanned.i,
                                  replanned.j, ctx_->oracle());
-          if (track_dirty) shards_->RecordDirty(epoch, replanned.worker);
-        }
-        // The memo counters were drained after planning (and after
-        // validation for speculative slots), and each prep belongs to at
-        // most one accepted proposal — so this drain is exactly the
-        // replan's own traffic.
-        prep.memo.Drain(&stats.memo_hits, &stats.memo_misses,
-                        &stats.memo_saved);
-        if (stats.memo_hits > 0) {
-          stats.narrowed = 1;
-        } else {
-          stats.full = 1;
         }
       }
     }
@@ -778,41 +442,11 @@ void DispatchWindowPlanner::CommitSlot(WindowSlot* slot) {
       }
     }
   });
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const ApplyStats& stats = apply_stats_[idx];
+  for (const ApplyStats& stats : apply_stats_) {
     slot->commit_evals += stats.evals;
     slot->commit_replans += stats.replans;
-    slot->commit_memo_hits += stats.memo_hits;
-    slot->commit_memo_misses += stats.memo_misses;
-    slot->commit_memo_saved += stats.memo_saved;
-    slot->commit_narrowed += stats.narrowed;
-    slot->commit_full += stats.full;
-    obs::Inc(memo_hit_counter_, stats.memo_hits);
-    obs::Inc(memo_miss_counter_, stats.memo_misses);
-    if (stats.narrowed != 0) {
-      obs::Inc(replan_narrowed_counter_);
-      if (tracer_ != nullptr) {
-        tracer_->Instant(
-            "replan.narrowed",
-            {{"epoch", static_cast<std::int64_t>(epoch)},
-             {"request", slot->proposals[slot->accepted[idx]].request},
-             {"reused", stats.memo_hits}});
-      }
-    }
-    if (stats.full != 0) obs::Inc(replan_full_counter_);
-    if (stats.replans != 0 && stats.memo_hits + stats.memo_misses > 0) {
-      replan_scope_.Add(
-          static_cast<double>(stats.memo_misses) /
-          static_cast<double>(stats.memo_hits + stats.memo_misses));
-    }
   }
   shards_->MarkAllCommitted(epoch);
-  // Entries tagged <= epoch - depth_ can never be consulted again: any
-  // future speculative scan passes the slot-free gate first, so its
-  // baseline is at least epoch + 1 - depth_.
-  if (track_dirty && epoch > static_cast<WindowEpoch>(depth_)) {
-    shards_->PruneDirtyBefore(epoch - static_cast<WindowEpoch>(depth_));
-  }
   slot->state.store(SlotState::kFree, std::memory_order_relaxed);
 }
 

@@ -1,6 +1,7 @@
 #ifndef URPSM_SRC_SIM_DISPATCH_WINDOW_H_
 #define URPSM_SRC_SIM_DISPATCH_WINDOW_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -13,7 +14,6 @@
 #include "src/insertion/insertion.h"
 #include "src/parallel/fleet_shards.h"
 #include "src/parallel/thread_pool.h"
-#include "src/shortest/oracle.h"
 #include "src/util/scratch.h"
 
 namespace urpsm {
@@ -26,8 +26,8 @@ class TraceRecorder;
 
 /// Batched dispatch-window engine: pruneGreedyDP lifted from per-request
 /// to per-window planning with whole-request parallelism and — in the
-/// pipelined driving mode — a k-slot window ring with speculative
-/// planning and parallel shard-footprint commits.
+/// pipelined driving mode — a double-buffered window ring with
+/// parallel shard-footprint commits.
 ///
 /// The simulation buffers every request released within one dispatch
 /// window (SimOptions::batch_window_s) and hands the batch over at the
@@ -67,31 +67,21 @@ class TraceRecorder;
 ///      could touch a shard retires, the shard is released for the next
 ///      window's advance gate.
 ///
-/// Deep pipeline (ConfigurePipeline depth k > 2): window e+1 may close
-/// while window e is still committing. When the probe "every shard
-/// released by window e" fails, window e+1 is planned *speculatively*
-/// against the live fleet — candidate filtering under the commit lock,
-/// every candidate access under its mutex stripe with the route version
-/// recorded. Its commit stage first re-advances and re-filters exactly
-/// like a non-speculative window, then keeps each request's speculative
-/// proposal only if its candidate list is unchanged and every recorded
-/// version is still current (speculation hit), replanning the diverged
-/// rest (miss) — versions only grow, so a clean check proves the
-/// speculative scan read exactly what a fresh scan would have. Distance
-/// queries made on the speculative path are billed to a private sink
-/// and re-billed only on a hit, so reported query counts are
-/// depth-independent.
+/// Double buffer (the pipelined driving mode): window e+1 plans into one
+/// slot while window e commits out of the other. Its advance gate waits
+/// per shard for window e's release, so planning always reads the
+/// fleet window e left behind, never a fleet still being committed.
 ///
 /// Determinism: planning is pure against the fleet snapshot the
-/// previous commit left behind (or validated to be so), decompositions
-/// depend only on structural constants (never the thread count),
-/// conflicts resolve in a total order, the parallel commit is
-/// serial-equivalent by the per-shard tickets, and the advance executes
-/// in fixed shard-then-worker order on one thread — so for any window
-/// length the results are bit-identical across thread counts, ingest
-/// capacities and pipeline depths, and a window of 0 (the simulator
-/// then drives OnRequest per release) reproduces the sequential
-/// pruneGreedyDP run exactly.
+/// previous commit left behind, decompositions depend only on
+/// structural constants (never the thread count), conflicts resolve in
+/// a total order, the parallel commit is serial-equivalent by the
+/// per-shard tickets, and the advance executes in fixed
+/// shard-then-worker order on one thread — so for any window length the
+/// results are bit-identical across thread counts and ingest capacities,
+/// the pipelined split matches the fused OnBatch loop, and a window of 0
+/// (the simulator then drives OnRequest per release) reproduces the
+/// sequential pruneGreedyDP run exactly.
 class DispatchWindowPlanner : public PipelinedBatchPlanner {
  public:
   /// `pool` is borrowed and may be nullptr (phases then run inline).
@@ -109,39 +99,6 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
   void PlanWindow(const std::vector<RequestId>& batch, double now,
                   WindowEpoch epoch) override;
   void CommitWindow(WindowEpoch epoch) override;
-  /// Sizes the slot ring (depth >= 2; 2 = the classic double buffer) and
-  /// switches the commit stage onto its own pool. Not mid-run.
-  void ConfigurePipeline(int depth) override;
-  std::int64_t speculation_hits() const override { return spec_hits_; }
-  std::int64_t speculation_misses() const override { return spec_misses_; }
-  std::int64_t memo_hits() const override {
-    std::int64_t total = memo_hits_;
-    for (const WindowSlot& slot : slots_) total += slot.commit_memo_hits;
-    return total;
-  }
-  std::int64_t memo_misses() const override {
-    std::int64_t total = memo_misses_;
-    for (const WindowSlot& slot : slots_) total += slot.commit_memo_misses;
-    return total;
-  }
-  /// Distance queries that memo hits avoided issuing (accounted apart
-  /// from the re-billed totals, which stay memo-independent).
-  std::int64_t memo_saved_queries() const override {
-    std::int64_t total = memo_saved_;
-    for (const WindowSlot& slot : slots_) total += slot.commit_memo_saved;
-    return total;
-  }
-  std::int64_t replans_narrowed() const override {
-    std::int64_t total = 0;
-    for (const WindowSlot& slot : slots_) total += slot.commit_narrowed;
-    return total;
-  }
-  std::int64_t replans_full() const override {
-    std::int64_t total = 0;
-    for (const WindowSlot& slot : slots_) total += slot.commit_full;
-    return total;
-  }
-  StatsAccumulator replan_scope() const override { return replan_scope_; }
   std::string_view name() const override {
     return config_.use_pruning ? "windowPruneGreedyDP" : "windowGreedyDP";
   }
@@ -150,7 +107,7 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
   }
 
   /// Exact linear-DP evaluations performed (including commit-stage
-  /// replans), summed over the whole slot ring. Thread-count independent
+  /// replans), summed over both window slots. Thread-count independent
   /// for a fixed window length. Read only after the run quiesced — the
   /// commit stage contributes while a window is in flight.
   std::int64_t exact_evaluations() const {
@@ -159,8 +116,8 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
     return total;
   }
   /// Proposals that lost their worker to an earlier batch member and went
-  /// through the sequential replanning path (speculation misses are
-  /// counted separately). Quiescent read, summed over the ring.
+  /// through the sequential replanning path. Quiescent read, summed over
+  /// both window slots.
   std::int64_t conflict_replans() const {
     std::int64_t total = 0;
     for (const WindowSlot& slot : slots_) total += slot.commit_replans;
@@ -168,7 +125,6 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
   }
   /// The engine's shard partition (epoch marks are inspectable in tests).
   const FleetShards& shards() const { return *shards_; }
-  int pipeline_depth() const { return depth_; }
 
  private:
   /// A request's chosen insertion against a fleet snapshot, keyed by the
@@ -182,29 +138,18 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
     std::uint64_t route_version = 0;
   };
 
-  /// Per-request window state (filter output + speculation capture).
+  /// Per-request window state (filter output and planning result).
   struct Prep {
     const Request* r = nullptr;
     double L = 0.0;
     /// Shards whose advance must precede this request's prep (bit per
-    /// shard; only meaningful on the self-advancing exact path).
+    /// shard; only meaningful on the self-advancing pipelined path).
     std::uint64_t required_mask = 0;
     std::vector<WorkerId> candidates;
-    /// Commit-time re-filter output (speculative windows only).
-    std::vector<WorkerId> fresh;
-    /// (worker, route version) per candidate access of the speculative
-    /// scan; all current at commit time <=> the scan was clean.
-    std::vector<std::pair<WorkerId, std::uint64_t>> spec_versions;
-    std::int64_t evals = 0;         // this request's DP evaluations
-    std::int64_t spec_queries = 0;  // sink-billed speculative queries
-    bool alive = false;             // candidates non-empty, not rejected
-    bool prepped = false;           // filter + touch ran (gated loop)
-    bool planned = false;           // proposal holds a chosen insertion
-    /// Route-version memo spanning this request's evaluations within the
-    /// window: the planning scan populates it; validation-miss replans
-    /// and commit conflict replans reuse every candidate whose version
-    /// held (see EvalMemo). Reset when the slot takes a new request.
-    EvalMemo memo;
+    std::int64_t evals = 0;  // this request's DP evaluations
+    bool alive = false;      // candidates non-empty, not rejected
+    bool prepped = false;    // filter + touch ran (gated loop)
+    bool planned = false;    // proposal holds a chosen insertion
   };
 
   /// Slot lifecycle; purely diagnostic ordering (the epoch marks are the
@@ -216,19 +161,11 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
     kCommitting,
   };
 
-  /// One dispatch window in flight. The ring holds `depth_` slots:
-  /// window e plans into slot e % depth_, which is reusable because the
-  /// planning stage never starts before window e - depth_ fully
-  /// committed (the exact path's advance gate implies it; the
-  /// speculative path waits for it explicitly).
+  /// One dispatch window in flight. Window e plans into slot e % 2,
+  /// which is free again because window e-1's advance gate already
+  /// waited for window e-2 to release every shard.
   struct WindowSlot {
     WindowEpoch epoch = 0;
-    double now = 0.0;
-    bool speculative = false;
-    /// Dirty-set baseline of a speculative slot: FleetShards'
-    /// MinCommittedEpoch() at scan start. Every fleet mutation since the
-    /// scan began carries a dirty-log tag > this value.
-    std::uint64_t spec_base = 0;
     std::atomic<SlotState> state{SlotState::kFree};
     std::vector<Prep> preps;
     std::vector<Proposal> proposals;
@@ -246,11 +183,6 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
     // (written by the commit thread; read quiescently).
     std::int64_t commit_evals = 0;
     std::int64_t commit_replans = 0;
-    std::int64_t commit_memo_hits = 0;
-    std::int64_t commit_memo_misses = 0;
-    std::int64_t commit_memo_saved = 0;
-    std::int64_t commit_narrowed = 0;  // replans that reused memo entries
-    std::int64_t commit_full = 0;      // replans with zero memo reuse
     // Reusable-workspace clamps: the slot's buffers recycle across
     // windows; these trim capacity back to the recent high-water mark.
     HighWaterClamp preps_clamp;
@@ -264,39 +196,25 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
     ForEachOn(pool_, n, body);
   }
   /// Full sequential pruneGreedyDP pass for one request against the
-  /// *current* fleet (conflict replanning). Returns false on rejection.
-  /// DP evaluations are counted into *evals. With `spec`, candidate
-  /// accesses run under the mutex stripes with versions captured (the
-  /// speculative planning path).
+  /// *current* fleet (window planning and conflict replanning). Returns
+  /// false on rejection. DP evaluations are counted into *evals.
   bool PlanSequential(const Request& r, const std::vector<WorkerId>& candidates,
-                      Proposal* out, std::int64_t* evals,
-                      const SpecCapture* spec = nullptr,
-                      EvalMemo* memo = nullptr);
+                      Proposal* out, std::int64_t* evals);
   /// The window = 0 / singleton-batch path: filter + touch + the shared
   /// sequential scan + apply. No shard rebuild, no footprint machinery.
   void PlanAndApplySingle(const Request& r, double now);
-  /// Stages 1-3 of a non-speculative window: advance gate (when
-  /// `self_advance`; with displacement-gated preps interleaved), prep,
-  /// Rebuild, parallel per-request planning, then BuildAcceptSchedule.
-  void PlanExact(WindowSlot* slot, const std::vector<RequestId>& batch,
-                 double now, WindowEpoch epoch, bool self_advance);
-  /// Speculative planning of one window against the live fleet: filter
-  /// under the commit lock, per-request scans under the mutex stripes
-  /// with versions captured and queries sink-billed. No accept schedule
-  /// yet — commit-time validation builds it.
-  void PlanSpeculative(WindowSlot* slot, const std::vector<RequestId>& batch,
-                       double now, WindowEpoch epoch);
-  /// Commit-time validation of a speculative slot: advance everything in
-  /// the fixed order, re-filter, keep clean proposals (hit) and replan
-  /// diverged requests (miss), then BuildAcceptSchedule.
-  void ValidateSpeculative(WindowSlot* slot);
+  /// Stages 1-3 of a window: advance gate (when `self_advance`; with
+  /// displacement-gated preps interleaved), prep, Rebuild, parallel
+  /// per-request planning, then BuildAcceptSchedule.
+  void PlanSlot(WindowSlot* slot, const std::vector<RequestId>& batch,
+                double now, WindowEpoch epoch, bool self_advance);
   /// Accept filter + (delta, request) sort + shard footprints with
   /// sequence tickets + per-shard release schedule. Requires shard
   /// membership to be current (post-Rebuild).
   void BuildAcceptSchedule(WindowSlot* slot);
-  /// Stage 4 on `slot`: validation when speculative, then the parallel
-  /// footprint-ordered apply, releasing shards as dependents retire.
-  void CommitSlot(WindowSlot* slot);
+  /// Stage 4 on `slot`: the footprint-ordered apply, fanned out on
+  /// `pool` (inline when null), releasing shards as dependents retire.
+  void CommitSlot(WindowSlot* slot, ThreadPool* pool);
 
   PlanningContext* ctx_;
   Fleet* fleet_;
@@ -304,42 +222,23 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
   ThreadPool* pool_;
   std::unique_ptr<GridIndex> index_;
   std::unique_ptr<FleetShards> shards_;
-  /// The simulation's oracle when it is a CachedOracle (speculative query
-  /// billing); nullptr otherwise — speculation then bills globally, which
-  /// only perturbs the query count, never results.
-  CachedOracle* billing_ = nullptr;
-  int depth_ = 2;           // slot-ring size
-  bool pipelined_ = false;  // ConfigurePipeline ran (split driving mode)
-  /// Commit-stage pool: the planning thread owns pool_, so the commit
-  /// thread fans out on its own pool (ThreadPool is single-submitter).
+  /// Commit-stage pool of the pipelined mode: the planning thread owns
+  /// pool_, so the commit thread fans out on its own pool (ThreadPool is
+  /// single-submitter). Created by the first CommitWindow on the commit
+  /// thread, the only thread that touches it.
   std::unique_ptr<ThreadPool> commit_pool_;
   std::int64_t exact_evaluations_ = 0;  // planning-thread evaluations
-  std::int64_t spec_hits_ = 0;          // commit-thread only
-  std::int64_t spec_misses_ = 0;        // commit-thread only
-  std::int64_t memo_hits_ = 0;          // planning-thread memo traffic
-  std::int64_t memo_misses_ = 0;        // (commit-side lives on the slots)
-  std::int64_t memo_saved_ = 0;
-  /// Per validation replan: fraction of its memo lookups that missed
-  /// (commit-thread writes; quiescent reads).
-  StatsAccumulator replan_scope_;
   // Borrowed instruments, wired from the context's registry/tracer at
   // construction; all null (and every probe a single branch) when the
   // simulation runs without observability.
   obs::TraceRecorder* tracer_ = nullptr;
   obs::Counter* windows_counter_ = nullptr;
-  obs::Counter* spec_hit_counter_ = nullptr;
-  obs::Counter* spec_miss_counter_ = nullptr;
   obs::Counter* conflict_replan_counter_ = nullptr;
-  obs::Counter* memo_hit_counter_ = nullptr;
-  obs::Counter* memo_miss_counter_ = nullptr;
-  obs::Counter* replan_narrowed_counter_ = nullptr;
-  obs::Counter* replan_full_counter_ = nullptr;
-  obs::Histogram* ticket_wait_hist_ = nullptr;    // commit ticket spins
+  obs::Histogram* ticket_wait_hist_ = nullptr;  // commit ticket spins
   obs::Histogram* conflict_replan_hist_ = nullptr;
-  obs::Histogram* spec_replan_hist_ = nullptr;    // speculation-miss cost
-  // Scratch buffers. touched_ serves whichever thread preps a window
-  // (planning thread for exact windows, commit thread for speculative
-  // validation — never both at once); the rest are commit-stage only.
+  // Scratch buffers. touched_, shard_flag_ and shard_seq_ belong to the
+  // planning stage (prep and BuildAcceptSchedule); commit_heads_ and
+  // apply_stats_ to the commit stage.
   std::vector<std::uint8_t> touched_;         // worker-indexed
   std::vector<std::uint8_t> shard_flag_;      // footprint dedup
   std::vector<std::size_t> shard_seq_;        // next ticket per shard
@@ -350,25 +249,16 @@ class DispatchWindowPlanner : public PipelinedBatchPlanner {
   struct ApplyStats {
     std::int64_t evals = 0;
     std::int64_t replans = 0;
-    std::int64_t memo_hits = 0;
-    std::int64_t memo_misses = 0;
-    std::int64_t memo_saved = 0;
-    std::int64_t narrowed = 0;
-    std::int64_t full = 0;
   };
   std::vector<ApplyStats> apply_stats_;       // per accepted index
-  // Dirty-set scratch (commit thread only): the workers mutated since a
-  // speculative slot's baseline, and a worker-indexed flag of them.
-  std::vector<WorkerId> dirty_scratch_;
-  std::vector<std::uint8_t> dirty_flag_;
-  std::vector<WindowSlot> slots_;
+  /// The double buffer: window e lives in slots_[e % 2].
+  std::array<WindowSlot, 2> slots_;
 };
 
 /// DispatchWindowPlanner on the simulation's pool; the windowed twin of
 /// pruneGreedyDP. Drive it with SimOptions::batch_window_s > 0 for real
 /// windows (plus SimOptions::pipeline for the three-stage pipelined
-/// loop and SimOptions::pipeline_depth for the deep ring), or 0 for the
-/// bit-identical per-request mode.
+/// loop), or 0 for the bit-identical per-request mode.
 PlannerFactory MakeDispatchWindowFactory(PlannerConfig config);
 
 }  // namespace urpsm

@@ -19,9 +19,7 @@ SimReport AverageReports(const std::vector<SimReport>& reports) {
   double rejected = 0.0, shed = 0.0, dnf = 0.0;
   double shed_deadline = 0.0, shed_overload = 0.0, shed_drain = 0.0;
   double pl_windows = 0.0, pl_ingested = 0.0, pl_overlapped = 0.0,
-         pl_backpressure = 0.0, pl_spec_hits = 0.0, pl_spec_misses = 0.0;
-  double pl_memo_hits = 0.0, pl_memo_misses = 0.0, pl_memo_saved = 0.0,
-         pl_narrowed = 0.0, pl_full = 0.0;
+         pl_backpressure = 0.0;
   std::map<std::string, std::pair<double, int>> metric_sums;  // sum, runs
   for (const SimReport& r : reports) {
     served += r.served_requests;
@@ -63,19 +61,8 @@ SimReport AverageReports(const std::vector<SimReport>& reports) {
     avg.pipeline.ingest_wait_ms += r.pipeline.ingest_wait_ms / n;
     avg.pipeline.plan_ms += r.pipeline.plan_ms / n;
     avg.pipeline.commit_ms += r.pipeline.commit_ms / n;
-    // The ring size is a run parameter, not a measurement: repeats share
-    // it, so max just propagates it (and flags mixed-depth pools).
-    avg.pipeline.depth = std::max(avg.pipeline.depth, r.pipeline.depth);
-    pl_spec_hits += static_cast<double>(r.pipeline.speculation_hits);
-    pl_spec_misses += static_cast<double>(r.pipeline.speculation_misses);
-    pl_memo_hits += static_cast<double>(r.pipeline.memo_hits);
-    pl_memo_misses += static_cast<double>(r.pipeline.memo_misses);
-    pl_memo_saved += static_cast<double>(r.pipeline.memo_saved_queries);
-    pl_narrowed += static_cast<double>(r.pipeline.replans_narrowed);
-    pl_full += static_cast<double>(r.pipeline.replans_full);
     // Stage-time distributions pool like the latency samples do.
     avg.pipeline.plan_window_ms.Merge(r.pipeline.plan_window_ms);
-    avg.pipeline.replan_scope.Merge(r.pipeline.replan_scope);
     avg.pipeline.commit_window_ms.Merge(r.pipeline.commit_window_ms);
     avg.pipeline.ingest_wait_per_arrival_ms.Merge(
         r.pipeline.ingest_wait_per_arrival_ms);
@@ -120,20 +107,6 @@ SimReport AverageReports(const std::vector<SimReport>& reports) {
       static_cast<std::int64_t>(std::llround(pl_overlapped / n));
   avg.pipeline.backpressure_waits =
       static_cast<std::int64_t>(std::llround(pl_backpressure / n));
-  avg.pipeline.speculation_hits =
-      static_cast<std::int64_t>(std::llround(pl_spec_hits / n));
-  avg.pipeline.speculation_misses =
-      static_cast<std::int64_t>(std::llround(pl_spec_misses / n));
-  avg.pipeline.memo_hits =
-      static_cast<std::int64_t>(std::llround(pl_memo_hits / n));
-  avg.pipeline.memo_misses =
-      static_cast<std::int64_t>(std::llround(pl_memo_misses / n));
-  avg.pipeline.memo_saved_queries =
-      static_cast<std::int64_t>(std::llround(pl_memo_saved / n));
-  avg.pipeline.replans_narrowed =
-      static_cast<std::int64_t>(std::llround(pl_narrowed / n));
-  avg.pipeline.replans_full =
-      static_cast<std::int64_t>(std::llround(pl_full / n));
   return avg;
 }
 

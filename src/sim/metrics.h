@@ -40,30 +40,6 @@ struct PipelineStats {
   double ingest_wait_ms = 0.0;
   double plan_ms = 0.0;
   double commit_ms = 0.0;
-  /// Window-slot ring size of the run (SimOptions::pipeline_depth; 0 when
-  /// the pipeline was off).
-  int depth = 0;
-  /// Speculatively planned requests that survived commit-time validation
-  /// (hits) or had to be replanned (misses). Both stay 0 at depth 2 —
-  /// the double buffer never speculates.
-  std::int64_t speculation_hits = 0;
-  std::int64_t speculation_misses = 0;
-  /// Route-version memo traffic of the incremental planning layer: a hit
-  /// reuses a recorded evaluation (its distance queries re-billed, not
-  /// re-issued); a miss evaluates fresh and records. Saved = queries the
-  /// hits avoided issuing (accounted apart from the re-billed totals,
-  /// which stay memo-independent).
-  std::int64_t memo_hits = 0;
-  std::int64_t memo_misses = 0;
-  std::int64_t memo_saved_queries = 0;
-  /// Validation-miss and commit-conflict replans, split by memo reuse:
-  /// narrowed = at least one candidate's evaluation was reused (the
-  /// replan's fresh work was O(changed candidates)); full = zero reuse.
-  std::int64_t replans_narrowed = 0;
-  std::int64_t replans_full = 0;
-  /// Per replan: fraction of its memo lookups that missed (0 = the whole
-  /// candidate list was reused, 1 = nothing was).
-  StatsAccumulator replan_scope;
   /// Per-window / per-arrival stage-time distributions behind the total
   /// ms fields above: PlanWindow wall time per window, CommitWindow wall
   /// time per window, queued time per arrival. Digest-backed, so

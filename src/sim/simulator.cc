@@ -34,11 +34,9 @@ struct CommitJob {
 };
 
 /// Unbounded FIFO between the planning and commit threads. Depth is
-/// bounded by the planner's slot ring (SimOptions::pipeline_depth): at
-/// depth 2 PlanWindow(k+1)'s advance gate cannot fully open before
-/// CommitWindow(k) retires, and deeper rings run ahead speculatively
-/// until window k - depth's slot is still unreleased — so the planning
-/// stage always self-throttles against the commit stage.
+/// bounded by the planner's double buffer: PlanWindow(k+1)'s advance gate
+/// cannot fully open before CommitWindow(k) releases every shard, so the
+/// planning stage always self-throttles against the commit stage.
 class CommitChannel {
  public:
   void Push(const CommitJob& job) {
@@ -78,10 +76,6 @@ SimOptions ValidateSimOptions(SimOptions options,
   if (options.pipeline && options.batch_window_s <= 0.0) {
     warn("pipeline requires batch_window_s > 0; pipeline disabled");
     options.pipeline = false;
-  }
-  if (options.pipeline_depth < 2) {
-    warn("pipeline_depth < 2 clamped to 2 (the minimum double buffer)");
-    options.pipeline_depth = 2;
   }
   if (options.ingest_capacity == 0) {
     warn("ingest_capacity == 0 clamped to 1 (the queue must hold at least "
@@ -381,11 +375,6 @@ double Simulation::RunPipelined(PipelinedBatchPlanner* planner,
   fleet_->DisableArrivalHeap();
   PipelineStats& ps = report->pipeline;
   ps.enabled = true;
-  // Size the planner's window-slot ring before any stage thread exists.
-  // (>= 2 is guaranteed by ValidateSimOptions.)
-  const int depth = options_.pipeline_depth;
-  planner->ConfigurePipeline(depth);
-  ps.depth = depth;
   IngestQueue queue(options_.ingest_capacity);
   // --- Admission control / drain configuration (all simulated-time).
   const AdmissionPolicy policy = options_.admission_policy;
@@ -668,14 +657,6 @@ double Simulation::RunPipelined(PipelinedBatchPlanner* planner,
           : 0.0;
   ps.max_queue_depth = static_cast<std::int64_t>(queue.max_depth());
   ps.backpressure_waits = queue.backpressure_waits();
-  ps.speculation_hits = planner->speculation_hits();
-  ps.speculation_misses = planner->speculation_misses();
-  ps.memo_hits = planner->memo_hits();
-  ps.memo_misses = planner->memo_misses();
-  ps.memo_saved_queries = planner->memo_saved_queries();
-  ps.replans_narrowed = planner->replans_narrowed();
-  ps.replans_full = planner->replans_full();
-  ps.replan_scope = planner->replan_scope();
   // Queue-full evictions (kShedOldestSlack safety valve) are only known
   // to the queue; fold them into the overload bucket here. The evicted
   // arrivals were already counted by total_pushed, so ingested covers

@@ -140,7 +140,6 @@ FaultRun RunWithFaults(const FaultSpec& faults, int threads,
   options.num_threads = threads;
   options.batch_window_s = 6.0;
   options.pipeline = true;
-  options.pipeline_depth = 3;  // speculation on: the widest thread overlap
   options.faults = faults;
   options.trace_path = trace_path;
   // Mutable copy of the shared oracle: query counters are per-run state.

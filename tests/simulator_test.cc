@@ -199,13 +199,11 @@ TEST(ValidateSimOptionsTest, CleanOptionsPassThroughSilently) {
   SimOptions options;
   options.batch_window_s = 6.0;
   options.pipeline = true;
-  options.pipeline_depth = 4;
   options.num_threads = 8;
   std::vector<std::string> warnings;
   const SimOptions out = ValidateSimOptions(options, &warnings);
   EXPECT_TRUE(warnings.empty());
   EXPECT_TRUE(out.pipeline);
-  EXPECT_EQ(out.pipeline_depth, 4);
   EXPECT_EQ(out.num_threads, 8);
   EXPECT_EQ(out.batch_window_s, 6.0);
 }
@@ -224,7 +222,6 @@ TEST(ValidateSimOptionsTest, PipelineWithoutWindowIsDisabledWithWarning) {
 TEST(ValidateSimOptionsTest, InvalidNumericsClampToNearestSane) {
   SimOptions options;
   options.batch_window_s = -3.0;
-  options.pipeline_depth = 0;
   options.ingest_capacity = 0;
   options.num_threads = -2;
   options.wall_limit_seconds = -1.0;
@@ -234,7 +231,6 @@ TEST(ValidateSimOptionsTest, InvalidNumericsClampToNearestSane) {
   std::vector<std::string> warnings;
   const SimOptions out = ValidateSimOptions(options, &warnings);
   EXPECT_EQ(out.batch_window_s, 0.0);
-  EXPECT_EQ(out.pipeline_depth, 2);
   EXPECT_EQ(out.ingest_capacity, 1u);
   EXPECT_EQ(out.num_threads, 1);
   EXPECT_EQ(out.wall_limit_seconds, 0.0);
@@ -262,12 +258,11 @@ TEST(ValidateSimOptionsTest, FaultRatesAndDelaysAreClamped) {
 
 TEST(ValidateSimOptionsTest, ConstructorAppliesValidation) {
   // The constructor routes its options through ValidateSimOptions, so a
-  // degenerate configuration (pipeline without a window, depth 0) still
+  // degenerate configuration (pipeline without a window) still
   // runs the windowed loop instead of crashing or silently misbehaving.
   SimFixture f(23, 4, 20);
   SimOptions options;
   options.pipeline = true;  // no batch window: validation turns this off
-  options.pipeline_depth = 0;
   Simulation sim(&f.graph, &f.oracle, f.workers, &f.requests, options);
   const SimReport rep = sim.Run(MakePruneGreedyDpFactory({}));
   EXPECT_FALSE(rep.pipeline.enabled);

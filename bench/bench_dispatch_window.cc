@@ -94,8 +94,9 @@ int main(int argc, char** argv) {
     // Gate reference per window: the sequential pruneGreedyDP run for
     // window = 0 (the acceptance bar), the same window's threads = 1 run
     // for real windows (thread-count independence of the parallel
-    // machinery). DNF rows cannot be compared — see
-    // bench_parallel_scaling for the rationale.
+    // machinery). DNF rows cannot be compared: a run the wall-limit kill
+    // switch cut off planned a wall-clock-dependent prefix, so comparing
+    // it would report divergence where none exists.
     SimReport ref = seq;
     for (int threads : thread_counts) {
       SimOptions options = base_options;

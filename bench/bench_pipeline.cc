@@ -1,30 +1,27 @@
-// Pipelined dispatch-engine trajectory bench: the dispatch-window engine
-// swept over window length x thread count x pipeline on/off, recording
-// throughput, latency percentiles and the pipeline stage/occupancy
-// counters (queue depth, backpressure, plan/commit stage time).
+// Windowed dispatch-engine trajectory bench: the dispatch-window engine
+// on the lock-step windowed loop, swept over window length x thread
+// count, recording throughput and latency percentiles.
 //
 // Writes BENCH_pipeline.json (one JSON object per line, the shared
 // BENCH_JSON schema — every line carries hw_concurrency, num_threads,
 // git_sha and timestamp) via the shared trajectory writer: full runs
 // refresh the tracked repo-root file, smoke runs are redirected to the
 // build tree (BENCH_smoke_pipeline.json) so the CTest smoke entry can
-// never corrupt the full-run trajectory. Determinism gates: for every
-// (window, mode) the deterministic report fields must be bit-identical
-// across thread counts, and the pipelined runs must be
-// ingest-queue-capacity independent.
+// never corrupt the full-run trajectory. Determinism gate: for every
+// window length the deterministic report fields must be bit-identical
+// across thread counts.
 //
 // Overload axis: arrival-rate multipliers {1, 2, 4} compress release
 // times while preserving each request's deadline gap (ingress slack is
 // unchanged), so a fixed per-window admit budget turns rising arrival
 // rate into shed load. Those records carry arrival_mult, policy,
-// shed_rate, deadline_miss_rate and the admission-latency p50/p95/p99;
-// the shed/rejected/dnf accounting must be bit-identical across thread
-// counts, and CheckAccounting must pass on every recorded report.
+// shed_rate and deadline_miss_rate; the shed/rejected/dnf accounting
+// must be bit-identical across thread counts, and CheckAccounting must
+// pass on every recorded report.
 //
-// Note: thread counts beyond std::thread::hardware_concurrency (1 in the
-// usual CI container — see the hw_concurrency field) oversubscribe and
-// mainly validate determinism, not speedup; the same goes for the
-// ingest/plan/commit thread overlap itself.
+// Note: thread counts beyond std::thread::hardware_concurrency (see the
+// hw_concurrency field) oversubscribe and mainly validate determinism,
+// not speedup.
 
 #include <cstddef>
 #include <cstdio>
@@ -76,7 +73,7 @@ int main(int argc, char** argv) {
   const std::vector<Worker> workers =
       GenerateWorkers(city.graph, worker_count, d.capacity_mean, &rng);
 
-  std::printf("=== Pipelined dispatch (%s, %zu requests, %d workers, "
+  std::printf("=== Windowed dispatch (%s, %zu requests, %d workers, "
               "hardware threads: %u) ===\n\n",
               city.name.c_str(), city.requests.size(), worker_count,
               std::thread::hardware_concurrency());
@@ -87,7 +84,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> lines;
   bool accounting_ok = true;
   const auto record =
-      [&](const SimReport& rep, double window_s, bool pipeline,
+      [&](const SimReport& rep, double window_s,
           const std::vector<std::pair<std::string, std::string>>& extra =
               {}) {
     const InvariantReport acc = CheckAccounting(rep);
@@ -98,21 +95,9 @@ int main(int argc, char** argv) {
     std::vector<std::pair<std::string, std::string>> params = {
         {"city", city.name},
         {"window_s", Fmt(window_s)},
-        {"pipeline", pipeline ? "1" : "0"},
         {"algorithm", rep.algorithm},
         {"num_threads", std::to_string(rep.num_threads)}};
     params.insert(params.end(), extra.begin(), extra.end());
-    if (pipeline) {
-      const PipelineStats& ps = rep.pipeline;
-      params.emplace_back("occupancy", Fmt(ps.occupancy));
-      params.emplace_back("max_queue_depth",
-                          std::to_string(ps.max_queue_depth));
-      params.emplace_back("backpressure_waits",
-                          std::to_string(ps.backpressure_waits));
-      params.emplace_back("windows", std::to_string(ps.windows));
-      params.emplace_back("plan_ms", Fmt(ps.plan_ms));
-      params.emplace_back("commit_ms", Fmt(ps.commit_ms));
-    }
     if (smoke) params.emplace_back("smoke", "1");
     if (rep.timed_out) params.emplace_back("timed_out", "1");
     params.emplace_back("trace", rep.trace_enabled ? "1" : "0");
@@ -129,64 +114,39 @@ int main(int argc, char** argv) {
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
 
-  TablePrinter t({"window (s)", "pipeline", "threads", "wall (s)", "req/s",
-                  "occupancy", "unified cost", "served", "identical"});
+  TablePrinter t({"window (s)", "threads", "wall (s)", "req/s",
+                  "unified cost", "served", "identical"});
   bool all_identical = true;
   bool any_compared = false;
-  const auto run_one = [&](double window_s, bool pipeline, int threads,
-                           SimReport* ref, bool* have_ref) {
-    SimOptions options = base_options;
-    options.num_threads = threads;
-    options.batch_window_s = window_s;
-    options.pipeline = pipeline;
-    Simulation sim(&city.graph, city.labels.get(), workers, &city.requests,
-                   options);
-    const SimReport rep = sim.Run(MakeDispatchWindowFactory({}));
-    record(rep, window_s, pipeline);
-    if (!*have_ref) {
-      *ref = rep;
-      *have_ref = true;
-    }
-    const double rps = rep.wall_seconds > 0.0
-                           ? rep.total_requests / rep.wall_seconds
-                           : 0.0;
-    const bool comparable = !rep.timed_out && !ref->timed_out;
-    const bool identical = comparable && SameResults(rep, *ref);
-    any_compared = any_compared || comparable;
-    all_identical = all_identical && (identical || !comparable);
-    t.AddRow({Fmt(window_s), pipeline ? "on" : "off",
-              std::to_string(threads), TablePrinter::Num(rep.wall_seconds, 2),
-              TablePrinter::Num(rps, 1),
-              pipeline ? TablePrinter::Num(rep.pipeline.occupancy, 2)
-                       : std::string("-"),
-              TablePrinter::Num(rep.unified_cost, 1),
-              std::to_string(rep.served_requests),
-              !comparable ? "DNF" : identical ? "YES" : "NO"});
-  };
   for (double window_s : windows) {
-    for (const bool pipeline : {false, true}) {
-      // Thread-count identity against one reference per mode.
-      SimReport ref;
-      bool have_ref = false;
-      for (int threads : thread_counts) {
-        run_one(window_s, pipeline, threads, &ref, &have_ref);
-      }
-      // Queue-capacity independence gate for the pipelined runs: a tiny
-      // queue (heavy backpressure) must not change any result.
-      if (!pipeline || !have_ref || ref.timed_out) continue;
+    // Thread-count identity against the first thread count's run.
+    SimReport ref;
+    bool have_ref = false;
+    for (int threads : thread_counts) {
       SimOptions options = base_options;
-      options.num_threads = thread_counts.back();
+      options.num_threads = threads;
       options.batch_window_s = window_s;
-      options.pipeline = true;
-      options.ingest_capacity = 8;
       Simulation sim(&city.graph, city.labels.get(), workers, &city.requests,
                      options);
       const SimReport rep = sim.Run(MakeDispatchWindowFactory({}));
-      record(rep, window_s, true);
-      if (!rep.timed_out && !SameResults(rep, ref)) {
-        all_identical = false;
-        std::printf("FAIL: capacity=8 diverged at window=%g\n", window_s);
+      record(rep, window_s);
+      if (!have_ref) {
+        ref = rep;
+        have_ref = true;
       }
+      const double rps = rep.wall_seconds > 0.0
+                             ? rep.total_requests / rep.wall_seconds
+                             : 0.0;
+      const bool comparable = !rep.timed_out && !ref.timed_out;
+      const bool identical = comparable && SameResults(rep, ref);
+      any_compared = any_compared || comparable;
+      all_identical = all_identical && (identical || !comparable);
+      t.AddRow({Fmt(window_s), std::to_string(threads),
+                TablePrinter::Num(rep.wall_seconds, 2),
+                TablePrinter::Num(rps, 1),
+                TablePrinter::Num(rep.unified_cost, 1),
+                std::to_string(rep.served_requests),
+                !comparable ? "DNF" : identical ? "YES" : "NO"});
     }
   }
   std::printf("%s\n", t.ToString().c_str());
@@ -209,8 +169,7 @@ int main(int argc, char** argv) {
     policies.emplace_back("reject_ingress", AdmissionPolicy::kRejectAtIngress);
   }
   TablePrinter ot({"mult", "policy", "threads", "wall (s)", "served",
-                   "shed", "shed rate", "miss rate", "adm p95 (ms)",
-                   "identical"});
+                   "shed", "shed rate", "miss rate", "identical"});
   for (double mult : mults) {
     std::vector<Request> compressed = city.requests;
     for (Request& r : compressed) {
@@ -225,7 +184,6 @@ int main(int argc, char** argv) {
         SimOptions options = base_options;
         options.num_threads = threads;
         options.batch_window_s = overload_window_s;
-        options.pipeline = true;
         options.admission_policy = policy;
         options.window_admit_budget = overload_budget;
         Simulation sim(&city.graph, city.labels.get(), workers, &compressed,
@@ -240,8 +198,7 @@ int main(int argc, char** argv) {
         const double miss_rate =
             (rep.rejected_requests + static_cast<double>(rep.shed_deadline)) /
             total;
-        const StatsAccumulator& adm = rep.pipeline.admission_latency_ms;
-        record(rep, overload_window_s, /*pipeline=*/true,
+        record(rep, overload_window_s,
                {{"arrival_mult", Fmt(mult)},
                 {"policy", policy_name},
                 {"admit_budget", std::to_string(overload_budget)},
@@ -249,10 +206,7 @@ int main(int argc, char** argv) {
                 {"deadline_miss_rate", Fmt(miss_rate)},
                 {"shed_deadline", std::to_string(rep.shed_deadline)},
                 {"shed_overload", std::to_string(rep.shed_overload)},
-                {"shed_drain", std::to_string(rep.shed_drain)},
-                {"adm_p50_ms", Fmt(adm.Percentile(50))},
-                {"adm_p95_ms", Fmt(adm.Percentile(95))},
-                {"adm_p99_ms", Fmt(adm.Percentile(99))}});
+                {"shed_drain", std::to_string(rep.shed_drain)}});
         if (!have_ref) {
           ref = rep;
           have_ref = true;
@@ -267,7 +221,6 @@ int main(int argc, char** argv) {
                    std::to_string(rep.shed_requests),
                    TablePrinter::Num(shed_rate, 3),
                    TablePrinter::Num(miss_rate, 3),
-                   TablePrinter::Num(adm.Percentile(95), 3),
                    !comparable ? "DNF" : identical ? "YES" : "NO"});
       }
     }
@@ -283,8 +236,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!all_identical) {
-    std::printf("FAIL: pipeline results diverged (across thread counts or "
-                "ingest-queue capacities)\n");
+    std::printf("FAIL: windowed results diverged across thread counts\n");
     return 1;
   }
   if (!any_compared) {
@@ -292,7 +244,7 @@ int main(int argc, char** argv) {
                 "compare anything — raise URPSM_BENCH_WALL_LIMIT\n");
     return 1;
   }
-  std::printf("windows thread-count independent AND pipelined runs "
-              "capacity-independent: YES\n");
+  std::printf("windows and shed accounting thread-count independent: "
+              "YES\n");
   return 0;
 }

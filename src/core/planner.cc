@@ -156,9 +156,8 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
     // worker in the scan order. Together with the epsilon-guarded cutoff
     // above (which never prunes a potential tie, only strictly worse
     // workers), the chosen insertion is the same for any scan that
-    // follows this order and evaluates a superset — in particular
-    // ParallelGreedyDpPlanner's block-parallel scan and the dispatch-
-    // window engine's per-shard scans are bit-identical to this one.
+    // follows this order and evaluates a superset — in particular the
+    // unpruned GreedyDP scan picks the same winner as the pruned one.
     if (cand.feasible() && cand.delta < best.delta) {
       best = cand;
       best_worker = w;

@@ -44,10 +44,9 @@ class RoutePlanner {
 };
 
 /// Monotone dispatch-window counter: window k of one run has epoch k
-/// (1-based; epoch 0 means "outside any window" and every epoch wait is
-/// trivially satisfied at 0). The epoch is the unit of the pipelined
-/// engine's cross-window dependency graph — shard readiness, commit
-/// ordering and the double-buffered window slots are all keyed on it.
+/// (1-based; epoch 0 means "outside any window"). The windowed event loop
+/// stamps it on every OnBatch call, and the dispatch-window engine tags
+/// its trace spans with it so a window's spans join across threads.
 using WindowEpoch = std::uint64_t;
 
 /// A planner that consumes whole dispatch windows: the simulation buffers
@@ -62,52 +61,10 @@ class BatchPlanner : public RoutePlanner {
   /// release order; `now` is the window close time — the fleet has already
   /// been advanced to it, and all planning happens "at" this instant.
   /// `epoch` is the window's position in the run (1, 2, ...): the windowed
-  /// event loop increments it per window, and planners that track
-  /// cross-window state (the dispatch-window engine's shard-readiness
-  /// graph) key it on the epoch. Planners driven outside the simulator may
-  /// pass 0 for "no epoch bookkeeping".
+  /// event loop increments it per window. Planners driven outside the
+  /// simulator may pass 0 for "no epoch".
   virtual void OnBatch(const std::vector<RequestId>& batch, double now,
                        WindowEpoch epoch) = 0;
-};
-
-/// A batch planner whose window processing splits into a *planning* stage
-/// (pure against the fleet snapshot the previous commit left behind) and a
-/// *commit* stage (the only part that mutates the fleet) — the contract
-/// the pipelined event loop drives from two threads:
-///
-///   planning thread:  PlanWindow(k)   PlanWindow(k+1)   PlanWindow(k+2)
-///   commit thread:          CommitWindow(k)   CommitWindow(k+1)   ...
-///
-/// PlanWindow(k+1) may overlap CommitWindow(k): its per-shard *advance*
-/// stage (committing stops due by the window close) is gated on the
-/// commit stage's shard-readiness marks instead of a global barrier, so
-/// shards advance for window k+1 while window k's commit tail is still
-/// applying elsewhere. A request's candidate filtering is gated per
-/// shard too, on a worker-displacement bound: workers of a shard whose
-/// tile sits farther from the request origin than its candidate radius
-/// plus the shard's maximum displacement (v_max times the oldest member
-/// anchor's lag) provably cannot enter the filter's grid cells, so the
-/// filter runs as soon as the shards within that ball advanced — the
-/// global advance barrier is gone. Planning never reads a shard before
-/// window k released it, so the window slots form a double buffer: at
-/// most one window plans while the previous one commits. CommitWindow
-/// calls are issued strictly in epoch order from a single thread, and
-/// OnBatch must remain exactly PlanWindow + CommitWindow fused (one
-/// implementation of the planning logic, so the windowed and pipelined
-/// loops cannot drift).
-class PipelinedBatchPlanner : public BatchPlanner {
- public:
-  /// Plans window `epoch` (close time `now`). Unlike OnBatch, the fleet
-  /// has NOT been pre-advanced: the implementation advances each shard's
-  /// workers to `now` itself, per shard, as the previous window's commit
-  /// stage releases that shard. Planning-thread only.
-  virtual void PlanWindow(const std::vector<RequestId>& batch, double now,
-                          WindowEpoch epoch) = 0;
-  /// Applies window `epoch`'s planned proposals in unified-cost-then-
-  /// request-id order, releasing each shard as its last dependent
-  /// proposal (or potential replan) retires. Commit-thread only; called
-  /// once per planned window, in epoch order.
-  virtual void CommitWindow(WindowEpoch epoch) = 0;
 };
 
 /// Builds the planner under test once the simulation has wired up the
@@ -160,23 +117,22 @@ class GreedyDpPlanner : public RoutePlanner {
 /// earliest possible arrival, anchor_time + Euclidean time, is too late).
 double CandidateRadiusKm(const Request& r, double L, double now);
 
-/// Lemma 8 cutoff, shared verbatim by GreedyDpPlanner's per-candidate
-/// scan and ParallelGreedyDpPlanner's per-block scan (their bit-identity
-/// depends on using the same expression): true when every worker whose
-/// lower bound is at least `lower_bound` is provably worse than the best
-/// exact cost found so far. The epsilon guards the cutoff against float
-/// noise: on straight-line trips the Euclidean bound equals the exact
-/// network distance, and rounding can put Delta* an epsilon *below* its
-/// own LB; a strict comparison there would (very rarely) let a pruned
-/// scan diverge from an unpruned one.
+/// Lemma 8 cutoff of the shared planning scan (PlanRequestSequential):
+/// true when every worker whose lower bound is at least `lower_bound` is
+/// provably worse than the best exact cost found so far. The epsilon
+/// guards the cutoff against float noise: on straight-line trips the
+/// Euclidean bound equals the exact network distance, and rounding can
+/// put Delta* an epsilon *below* its own LB; a strict comparison there
+/// would (very rarely) let a pruned scan diverge from an unpruned one.
 inline bool LemmaEightCutoff(double best_delta, double lower_bound) {
   return best_delta < lower_bound - 1e-9 * (1.0 + best_delta);
 }
 
 /// Indices of `bounds` in ascending lower-bound order — the planning
-/// phase's shared scan order. Both planners sort the same array through
-/// this one function, so they obtain the same permutation (ties included)
-/// and with it the same first-strict-improvement winner.
+/// phase's scan order. The permutation (ties included) is a pure function
+/// of the bounds array, so every path through PlanRequestSequential —
+/// pruneGreedyDP, GreedyDP, the dispatch-window engine — scans in the
+/// same order and keeps the same first-strict-improvement winner.
 std::vector<std::size_t> AscendingLowerBoundOrder(
     const std::vector<WorkerBound>& bounds);
 

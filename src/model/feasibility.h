@@ -16,7 +16,6 @@
 namespace urpsm {
 
 class ThreadPool;
-class FaultInjector;
 
 namespace obs {
 class Registry;
@@ -105,12 +104,6 @@ class PlanningContext {
   obs::TraceRecorder* tracer() const { return tracer_; }
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
-  /// Fault injector of the run, or nullptr (the default and the
-  /// zero-overhead case: every site guards with one null check). Owned by
-  /// the simulation; set before any stage thread exists.
-  FaultInjector* faults() const { return faults_; }
-  void set_faults(FaultInjector* faults) { faults_ = faults; }
-
  private:
   const RoadNetwork* graph_;
   DistanceOracle* oracle_;
@@ -118,7 +111,6 @@ class PlanningContext {
   ThreadPool* thread_pool_ = nullptr;
   obs::Registry* metrics_ = nullptr;
   obs::TraceRecorder* tracer_ = nullptr;
-  FaultInjector* faults_ = nullptr;
   bool dense_ids_ = true;  // ids equal table positions (common case)
   std::unordered_map<RequestId, std::size_t> id_to_index_;  // non-dense only
   std::mutex direct_mu_;  // serializes direct_dist_ misses + the overflow map

@@ -95,7 +95,7 @@ class Histogram {
 /// flag, so the disabled hot path is a single non-atomic branch and
 /// tsan-clean). Pull-model metrics register a callback gauge; a
 /// component that dies before the final Snapshot freezes its callbacks
-/// first (CallbackGuard) so the last evaluated value still appears.
+/// first (FreezeCallbackGauge) so the last evaluated value still appears.
 ///
 /// Locking rule for instrumented components: never invoke a registry
 /// instrument while holding a component lock that a Snapshot callback
@@ -212,29 +212,6 @@ class ScopedTimerMs {
  private:
   Histogram* h_;
   std::chrono::steady_clock::time_point t0_;
-};
-
-/// RAII holder for callback-gauge ids: freezes them all on destruction
-/// so a snapshot taken after the component dies still reports the last
-/// values.
-class CallbackGuard {
- public:
-  explicit CallbackGuard(Registry* reg) : reg_(reg) {}
-  ~CallbackGuard() { Freeze(); }
-  CallbackGuard(const CallbackGuard&) = delete;
-  CallbackGuard& operator=(const CallbackGuard&) = delete;
-
-  void Track(std::size_t id) { ids_.push_back(id); }
-  void Freeze() {
-    if (reg_ != nullptr) {
-      for (std::size_t id : ids_) reg_->FreezeCallbackGauge(id);
-    }
-    ids_.clear();
-  }
-
- private:
-  Registry* reg_;
-  std::vector<std::size_t> ids_;
 };
 
 }  // namespace urpsm::obs

@@ -1,13 +1,7 @@
 #include "src/parallel/fleet_shards.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-
-#include "src/graph/road_network.h"
-#include "src/model/route.h"
-#include "src/obs/registry.h"
-#include "src/util/fault.h"
 
 namespace urpsm {
 
@@ -45,87 +39,11 @@ FleetShards::FleetShards(const Fleet* fleet, Point lo, Point hi,
     tiles_x_ = d;
     tiles_y_ = num_shards_ / d;
   }
-  // Tile rectangles: the km-space union of each tile's region cells.
-  // Cell (cx, cy) spans [lo + c*region, lo + (c+1)*region] per axis; the
-  // ceil above lets the last cell overshoot `hi`, which only enlarges the
-  // rectangle (conservative for TileDistanceKm).
-  tile_min_.assign(static_cast<std::size_t>(num_shards_),
-                   {kInf, kInf});
-  tile_max_.assign(static_cast<std::size_t>(num_shards_),
-                   {-kInf, -kInf});
-  for (int cy = 0; cy < cells_y_; ++cy) {
-    for (int cx = 0; cx < cells_x_; ++cx) {
-      const int tcx = std::min(tiles_x_ - 1, cx * tiles_x_ / cells_x_);
-      const int tcy = std::min(tiles_y_ - 1, cy * tiles_y_ / cells_y_);
-      const auto s = static_cast<std::size_t>(tcy * tiles_x_ + tcx);
-      tile_min_[s].x = std::min(tile_min_[s].x, lo_.x + cx * region_km_);
-      tile_min_[s].y = std::min(tile_min_[s].y, lo_.y + cy * region_km_);
-      tile_max_[s].x =
-          std::max(tile_max_[s].x, lo_.x + (cx + 1) * region_km_);
-      tile_max_[s].y =
-          std::max(tile_max_[s].y, lo_.y + (cy + 1) * region_km_);
-    }
-  }
   shard_of_.assign(static_cast<std::size_t>(fleet_->size()), 0);
   members_.resize(static_cast<std::size_t>(num_shards_));
-  min_anchor_time_.assign(static_cast<std::size_t>(num_shards_), kInf);
   mutexes_ = std::make_unique<std::mutex[]>(
       static_cast<std::size_t>(num_shards_));
-  committed_epoch_.assign(static_cast<std::size_t>(num_shards_), 0);
   Rebuild();
-}
-
-void FleetShards::WaitCommitted(int s, std::uint64_t epoch) const {
-  if (epoch == 0) return;  // epoch 0 is always released
-  std::unique_lock<std::mutex> lock(epoch_mu_);
-  if (committed_epoch_[static_cast<std::size_t>(s)] >= epoch) return;
-  // Only an actual block is timed: satisfied waits stay clock-free so the
-  // histogram measures commit-lock contention, not call frequency.
-  obs::Inc(commit_blocking_waits_);
-  const bool timed = commit_wait_hist_ != nullptr;
-  const auto t0 =
-      timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
-  epoch_cv_.wait(lock, [&] {
-    return committed_epoch_[static_cast<std::size_t>(s)] >= epoch;
-  });
-  if (!timed) return;
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  lock.unlock();  // never Observe under epoch_mu_
-  commit_wait_hist_->Observe(ms);
-}
-
-void FleetShards::MarkCommitted(int s, std::uint64_t epoch) {
-  {
-    const std::lock_guard<std::mutex> lock(epoch_mu_);
-    // Fault site: hold the epoch lock across the seeded delay, stretching
-    // the exact dependency edge later windows block on in WaitCommitted.
-    MaybeInject(faults_, FaultSite::kShardLockHold);
-    auto& mark = committed_epoch_[static_cast<std::size_t>(s)];
-    if (mark >= epoch) return;
-    mark = epoch;
-  }
-  epoch_cv_.notify_all();
-}
-
-void FleetShards::MarkAllCommitted(std::uint64_t epoch) {
-  {
-    const std::lock_guard<std::mutex> lock(epoch_mu_);
-    for (auto& mark : committed_epoch_) mark = std::max(mark, epoch);
-  }
-  epoch_cv_.notify_all();
-}
-
-std::uint64_t FleetShards::CommittedEpoch(int s) const {
-  const std::lock_guard<std::mutex> lock(epoch_mu_);
-  return committed_epoch_[static_cast<std::size_t>(s)];
-}
-
-void FleetShards::RegisterMetrics(obs::Registry* reg) {
-  if (reg == nullptr || !reg->enabled()) return;
-  commit_wait_hist_ = reg->GetHistogram("shards.commit_wait_ms");
-  commit_blocking_waits_ = reg->GetCounter("shards.commit_blocking_waits");
 }
 
 int FleetShards::ShardOfPoint(const Point& p) const {
@@ -140,31 +58,12 @@ int FleetShards::ShardOfPoint(const Point& p) const {
   return tcy * tiles_x_ + tcx;
 }
 
-double FleetShards::TileDistanceKm(int s, const Point& p) const {
-  const auto i = static_cast<std::size_t>(s);
-  const double dx =
-      std::max({tile_min_[i].x - p.x, p.x - tile_max_[i].x, 0.0});
-  const double dy =
-      std::max({tile_min_[i].y - p.y, p.y - tile_max_[i].y, 0.0});
-  return std::sqrt(dx * dx + dy * dy);
-}
-
-double FleetShards::MaxDisplacementKm(int s, double now) const {
-  const double t0 = min_anchor_time_[static_cast<std::size_t>(s)];
-  if (t0 == kInf) return 0.0;  // empty shard
-  return std::max(0.0, now - t0) * MaxSpeedKmPerMin();
-}
-
 void FleetShards::Rebuild() {
   for (std::vector<WorkerId>& m : members_) m.clear();
-  min_anchor_time_.assign(static_cast<std::size_t>(num_shards_), kInf);
   for (WorkerId w = 0; w < fleet_->size(); ++w) {
     const int s = ShardOfPoint(fleet_->anchor_point(w));
     shard_of_[static_cast<std::size_t>(w)] = s;
     members_[static_cast<std::size_t>(s)].push_back(w);
-    min_anchor_time_[static_cast<std::size_t>(s)] =
-        std::min(min_anchor_time_[static_cast<std::size_t>(s)],
-                 fleet_->route(w).anchor_time());
   }
 }
 

@@ -1,9 +1,7 @@
 #include "src/sim/dispatch_window.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
-#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -28,7 +26,6 @@ DispatchWindowPlanner::DispatchWindowPlanner(PlanningContext* ctx,
   shards_ = std::make_unique<FleetShards>(fleet_, lo, hi,
                                           4.0 * config_.grid_cell_km);
   fleet_->AttachShards(shards_.get());
-  shards_->set_faults(ctx_->faults());
   commit_heads_ = std::vector<std::atomic<std::size_t>>(
       static_cast<std::size_t>(shards_->num_shards()));
   // Instrument wiring: instruments observe wall times and event counts
@@ -40,7 +37,6 @@ DispatchWindowPlanner::DispatchWindowPlanner(PlanningContext* ctx,
     conflict_replan_counter_ = reg->GetCounter("engine.commit.replans");
     ticket_wait_hist_ = reg->GetHistogram("engine.commit.ticket_wait_ms");
     conflict_replan_hist_ = reg->GetHistogram("engine.commit.replan_ms");
-    shards_->RegisterMetrics(reg);
   }
   if (obs::TraceRecorder* t = ctx_->tracer();
       t != nullptr && t->enabled()) {
@@ -52,18 +48,17 @@ DispatchWindowPlanner::~DispatchWindowPlanner() {
   fleet_->AttachShards(nullptr);
 }
 
-void DispatchWindowPlanner::ForEachOn(
-    ThreadPool* pool, std::size_t n,
-    const std::function<void(std::int64_t)>& body) {
+void DispatchWindowPlanner::ForEach(
+    std::size_t n, const std::function<void(std::int64_t)>& body) {
   // Purely an execution choice (the per-task work is fixed): tiny task
   // counts run inline rather than paying the pool wakeup. Grain stays 1:
   // the cursor claims indices monotonically, which the commit stage's
   // ticket waits rely on (a task only ever waits on smaller indices, all
   // claimed — hence running to completion on some thread — before it).
   const bool worth_fanning =
-      pool != nullptr && pool->num_threads() > 1 && n >= 2;
+      pool_ != nullptr && pool_->num_threads() > 1 && n >= 2;
   if (worth_fanning) {
-    pool->ParallelFor(0, static_cast<std::int64_t>(n), body, /*grain=*/1);
+    pool_->ParallelFor(0, static_cast<std::int64_t>(n), body, /*grain=*/1);
   } else {
     for (std::size_t i = 0; i < n; ++i) body(static_cast<std::int64_t>(i));
   }
@@ -110,111 +105,43 @@ void DispatchWindowPlanner::OnBatch(const std::vector<RequestId>& batch,
                                     double now, WindowEpoch epoch) {
   // Singleton fast path (the window = 0 / per-request mode): literally
   // the sequential planner's filter + touch + shared scan, which is what
-  // the bit-identity contract promises anyway. The epoch is still
-  // released so a later window's advance gate cannot starve.
+  // the bit-identity contract promises anyway.
   if (batch.size() <= 1) {
     if (!batch.empty()) PlanAndApplySingle(ctx_->request(batch.front()), now);
-    shards_->MarkAllCommitted(epoch);
     return;
   }
-  WindowSlot& slot = slots_[epoch % slots_.size()];
-  PlanSlot(&slot, batch, now, epoch, /*self_advance=*/false);
-  CommitSlot(&slot, pool_);
+  PlanBatch(batch, now, epoch);
+  CommitBatch(epoch);
 }
 
-void DispatchWindowPlanner::PlanWindow(const std::vector<RequestId>& batch,
-                                       double now, WindowEpoch epoch) {
-  // The pipelined mode funnels even singleton windows through the full
-  // plan/commit split: PlanAndApplySingle mutates the fleet, which the
-  // planning stage must not do while the previous commit is in flight.
-  PlanSlot(&slots_[epoch % slots_.size()], batch, now, epoch,
-           /*self_advance=*/true);
-}
-
-void DispatchWindowPlanner::CommitWindow(WindowEpoch epoch) {
-  WindowSlot& slot = slots_[epoch % slots_.size()];
-  assert(slot.epoch == epoch && "CommitWindow out of order");
-  if (commit_pool_ == nullptr && pool_ != nullptr &&
-      pool_->num_threads() > 1) {
-    commit_pool_ = std::make_unique<ThreadPool>(pool_->num_threads());
-  }
-  CommitSlot(&slot, commit_pool_.get());
-}
-
-void DispatchWindowPlanner::PlanSlot(WindowSlot* slot,
-                                     const std::vector<RequestId>& batch,
-                                     double now, WindowEpoch epoch,
-                                     bool self_advance) {
+void DispatchWindowPlanner::PlanBatch(const std::vector<RequestId>& batch,
+                                      double now, WindowEpoch epoch) {
   const obs::TraceSpan span(
       tracer_, "window.plan",
       {{"epoch", static_cast<std::int64_t>(epoch)},
        {"batch", static_cast<std::int64_t>(batch.size())}});
   obs::Inc(windows_counter_);
-  const auto shard_count = static_cast<std::size_t>(shards_->num_shards());
-
-  // The slot last held window epoch - 2, whose shards window epoch - 1's
-  // advance gate already waited for (the fused mode commits
-  // synchronously), so the planning thread owns every slot buffer.
-  assert(slot->state.load(std::memory_order_relaxed) == SlotState::kFree);
-  slot->state.store(SlotState::kFilling, std::memory_order_relaxed);
-  slot->epoch = epoch;
   // Reusable window workspace: trim capacity back toward the recent
   // high-water mark before refilling.
-  slot->preps_clamp.Observe(&slot->preps);
-  slot->footprints_clamp.Observe(&slot->footprints);
+  preps_clamp_.Observe(&preps_);
+  footprints_clamp_.Observe(&footprints_);
 
-  // ---- 1. Request headers + displacement gate masks. Prep elements are
-  // reused across the slot's windows (no clear() — that would free every
-  // inner buffer): fields are either overwritten below or explicitly
-  // reset, keeping capacity warm on the planning thread's critical path.
-  std::vector<Prep>& preps = slot->preps;
+  // ---- 1. Prep. Prep elements are reused across windows (no clear() —
+  // that would free every inner buffer): fields are either overwritten
+  // below or explicitly reset, keeping capacity warm. The simulator has
+  // already advanced the fleet to `now`, so touching only bumps idle
+  // anchors (first touch wins) and the touch order is immaterial.
+  std::vector<Prep>& preps = preps_;
   preps.resize(batch.size());
   touched_.assign(static_cast<std::size_t>(fleet_->size()), 0);
-  // The per-shard gate needs one bit per shard; wider partitions fall
-  // back to the full advance barrier (structurally deterministic either
-  // way — the mask is a pure function of request and Rebuild snapshot).
-  const bool gated = self_advance && shard_count <= 64;
   for (std::size_t b = 0; b < batch.size(); ++b) {
     Prep& p = preps[b];
     p.alive = false;
-    p.prepped = false;
     p.planned = false;
-    p.required_mask = 0;
     p.r = &ctx_->request(batch[b]);
     p.L = ctx_->DirectDist(p.r->id);
-    if (!gated) continue;
-    // Planning happens at the window close: the shared filter's ideal-
-    // service deadline test runs against `now`, not the release time.
-    const double radius = CandidateRadiusKm(*p.r, p.L, now);
-    if (now + p.L > p.r->deadline || radius < 0.0) continue;  // filter = {}
-    // The filter reads the grid cells within `rings` of the origin cell
-    // (rings = floor(radius / g) + 1), i.e. points within
-    // sqrt(2) * (radius + 2g) of the origin. Shard s can place a worker
-    // (any index position it held since the last Rebuild) inside that
-    // rectangle only if its tile lies within the rectangle bound plus
-    // the shard's maximum member displacement — everything farther is
-    // provably invisible to this request's filter.
-    const Point origin = ctx_->graph().coord(p.r->origin);
-    const double reach =
-        std::sqrt(2.0) * (radius + 2.0 * config_.grid_cell_km);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      if (shards_->TileDistanceKm(static_cast<int>(s), origin) <=
-          reach + shards_->MaxDisplacementKm(static_cast<int>(s), now)) {
-        p.required_mask |= std::uint64_t{1} << s;
-      }
-    }
-  }
-
-  // Filter + touch of one request; runs as soon as its required shards
-  // advanced. Touching never commits stops here — every candidate's
-  // shard is required, hence already advanced to `now` — so the touch
-  // order across requests is immaterial (per-worker idle anchor bumps,
-  // first touch wins).
-  const auto prep_one = [&](std::size_t b) {
-    Prep& p = preps[b];
-    p.prepped = true;
     FilterCandidatesInto(ctx_, *index_, *p.r, p.L, now, &p.candidates);
-    if (p.candidates.empty()) return;
+    if (p.candidates.empty()) continue;
     p.alive = true;
     for (const WorkerId w : p.candidates) {
       auto& flag = touched_[static_cast<std::size_t>(w)];
@@ -223,53 +150,16 @@ void DispatchWindowPlanner::PlanSlot(WindowSlot* slot,
         fleet_->Touch(w, now);
       }
     }
-  };
-
-  // ---- 2. Advance gate: shard by shard, in fixed shard order, each as
-  // soon as the previous window's commit stage releases it. The fixed
-  // shard-then-worker order keeps every cross-worker accumulation
-  // (committed distance, heap pushes, grid moves) deterministic no matter
-  // how the commit stage interleaves. Requests prep the moment their
-  // required-shard mask is covered by the advanced prefix — the former
-  // global advance barrier survives only for requests that genuinely
-  // need every shard. In the fused (OnBatch) mode the previous window
-  // committed synchronously, so the waits return immediately and the
-  // simulator has already advanced the fleet.
-  const WindowEpoch prev = epoch == 0 ? 0 : epoch - 1;
-  if (self_advance) {
-    std::uint64_t advanced = 0;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      shards_->WaitCommitted(static_cast<int>(s), prev);
-      for (const WorkerId w : shards_->workers_in(static_cast<int>(s))) {
-        fleet_->AdvanceWorkerTo(w, now);
-      }
-      if (!gated) continue;
-      if (s < 64) advanced |= std::uint64_t{1} << s;
-      for (std::size_t b = 0; b < preps.size(); ++b) {
-        Prep& p = preps[b];
-        if (!p.prepped && (p.required_mask & ~advanced) == 0) prep_one(b);
-      }
-    }
-  } else {
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      shards_->WaitCommitted(static_cast<int>(s), prev);
-    }
-  }
-  for (std::size_t b = 0; b < preps.size(); ++b) {
-    if (!preps[b].prepped) prep_one(b);
   }
   // Anchors may have moved while committing due stops; shard membership
-  // reflects the post-advance positions for the rest of the window. (The
-  // previous window has fully committed by now — the advance gate's last
-  // wait saw every shard released — so no concurrent reader exists.)
+  // reflects the post-advance positions for the rest of the window.
   shards_->Rebuild();
 
-  // ---- 3. Planning: one task per request, the shared sequential
+  // ---- 2. Planning: one task per request, the shared sequential
   // decision+planning scan against the frozen fleet. Requests are
   // mutually independent here, so the winners are schedule-independent;
   // evaluation counts are accumulated serially afterwards.
-  slot->state.store(SlotState::kPlanning, std::memory_order_relaxed);
-  std::vector<Proposal>& proposals = slot->proposals;
+  std::vector<Proposal>& proposals = proposals_;
   proposals.assign(preps.size(), Proposal{});
   ForEach(preps.size(), [&](std::int64_t i) {
     const auto b = static_cast<std::size_t>(i);
@@ -282,18 +172,18 @@ void DispatchWindowPlanner::PlanSlot(WindowSlot* slot,
     if (p.alive) exact_evaluations_ += p.evals;
   }
 
-  BuildAcceptSchedule(slot);
+  BuildAcceptSchedule();
 }
 
-void DispatchWindowPlanner::BuildAcceptSchedule(WindowSlot* slot) {
+void DispatchWindowPlanner::BuildAcceptSchedule() {
   const auto shard_count = static_cast<std::size_t>(shards_->num_shards());
-  std::vector<Prep>& preps = slot->preps;
-  std::vector<Proposal>& proposals = slot->proposals;
+  const std::vector<Prep>& preps = preps_;
+  const std::vector<Proposal>& proposals = proposals_;
 
   // ---- Apply order: unified cost (= alpha * delta), then request id.
   // The exact-reject ablation already ran inside the shared scan
   // (planned = false), so acceptance is just "a proposal exists".
-  std::vector<std::size_t>& accepted = slot->accepted;
+  std::vector<std::size_t>& accepted = accepted_;
   accepted.clear();
   for (std::size_t b = 0; b < preps.size(); ++b) {
     if (preps[b].alive && preps[b].planned) accepted.push_back(b);
@@ -306,21 +196,17 @@ void DispatchWindowPlanner::BuildAcceptSchedule(WindowSlot* slot) {
               return pa.request < pb.request;
             });
 
-  // ---- Shard footprints + sequence tickets + release schedule. A
-  // proposal's footprint is the (deduplicated, ascending) shard set of
-  // its candidates — the workers its apply may read (replan) or write.
-  // Ticket seq s/k gates apply order per shard; the shard is released
-  // once the last accepted proposal whose request could touch it —
-  // directly or through a conflict replan over ANY of its candidates —
-  // has retired. Membership is post-Rebuild, so footprints stay valid
-  // until the next window's Rebuild, which cannot run before this
-  // window's commit fully retires.
-  slot->release_at.assign(shard_count, -1);
-  slot->footprints.resize(accepted.size());
+  // ---- Shard footprints + sequence tickets. A proposal's footprint is
+  // the (deduplicated, ascending) shard set of its candidates — the
+  // workers its apply may read (replan) or write, directly or through a
+  // conflict replan over ANY of its candidates. Ticket seq s/k gates
+  // apply order per shard. Membership is post-Rebuild, so footprints stay
+  // valid until the next window's Rebuild.
+  footprints_.resize(accepted.size());
   shard_flag_.assign(shard_count, 0);
   shard_seq_.assign(shard_count, 0);
   for (std::size_t idx = 0; idx < accepted.size(); ++idx) {
-    auto& footprint = slot->footprints[idx];
+    auto& footprint = footprints_[idx];
     footprint.clear();
     for (const WorkerId w : preps[accepted[idx]].candidates) {
       const int s = shards_->ShardOf(w);
@@ -333,26 +219,11 @@ void DispatchWindowPlanner::BuildAcceptSchedule(WindowSlot* slot) {
     for (auto& [s, seq] : footprint) {
       seq = shard_seq_[static_cast<std::size_t>(s)]++;
       shard_flag_[static_cast<std::size_t>(s)] = 0;
-      slot->release_at[static_cast<std::size_t>(s)] =
-          static_cast<std::ptrdiff_t>(idx);
     }
   }
 }
 
-void DispatchWindowPlanner::CommitSlot(WindowSlot* slot, ThreadPool* pool) {
-  assert(slot->state.load(std::memory_order_relaxed) == SlotState::kPlanning);
-  slot->state.store(SlotState::kCommitting, std::memory_order_relaxed);
-
-  const WindowEpoch epoch = slot->epoch;
-  const auto shard_count = static_cast<std::size_t>(shards_->num_shards());
-  // Shards no accepted proposal can touch are free for the next window
-  // before any apply work happens.
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (slot->release_at[s] < 0) {
-      shards_->MarkCommitted(static_cast<int>(s), epoch);
-    }
-  }
-
+void DispatchWindowPlanner::CommitBatch(WindowEpoch epoch) {
   // ---- Parallel footprint-ordered apply. Per shard, tickets retire in
   // sequence; a proposal waits until it holds the head ticket of EVERY
   // footprint shard, so any two proposals sharing a shard apply in the
@@ -362,17 +233,17 @@ void DispatchWindowPlanner::CommitSlot(WindowSlot* slot, ThreadPool* pool) {
   // state is exactly what the serial loop would have left. Deadlock-free
   // with grain-1 monotone claiming — a task only waits on smaller
   // indices, and the smallest unretired index never waits.
-  const std::size_t n = slot->accepted.size();
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    commit_heads_[s].store(0, std::memory_order_relaxed);
+  const std::size_t n = accepted_.size();
+  for (std::atomic<std::size_t>& head : commit_heads_) {
+    head.store(0, std::memory_order_relaxed);
   }
   apply_stats_.assign(n, ApplyStats{});
-  ForEachOn(pool, n, [&](std::int64_t i) {
+  ForEach(n, [&](std::int64_t i) {
     const auto idx = static_cast<std::size_t>(i);
-    const std::size_t b = slot->accepted[idx];
-    Proposal& p = slot->proposals[b];
-    const Request& r = *slot->preps[b].r;
-    const auto& footprint = slot->footprints[idx];
+    const std::size_t b = accepted_[idx];
+    const Proposal& p = proposals_[b];
+    const Request& r = *preps_[b].r;
+    const auto& footprint = footprints_[idx];
     for (const auto& [s, seq] : footprint) {
       auto& head = commit_heads_[static_cast<std::size_t>(s)];
       if (head.load(std::memory_order_acquire) == seq) continue;
@@ -417,7 +288,7 @@ void DispatchWindowPlanner::CommitSlot(WindowSlot* slot, ThreadPool* pool) {
         bool planned = false;
         {
           const obs::ScopedTimerMs replan_timer(conflict_replan_hist_);
-          planned = PlanSequential(r, slot->preps[b].candidates, &replanned,
+          planned = PlanSequential(r, preps_[b].candidates, &replanned,
                                    &stats.evals);
         }
         if (planned) {
@@ -430,24 +301,11 @@ void DispatchWindowPlanner::CommitSlot(WindowSlot* slot, ThreadPool* pool) {
       commit_heads_[static_cast<std::size_t>(s)].store(
           seq + 1, std::memory_order_release);
     }
-    for (const auto& [s, seq] : footprint) {
-      if (slot->release_at[static_cast<std::size_t>(s)] ==
-          static_cast<std::ptrdiff_t>(idx)) {
-        shards_->MarkCommitted(s, epoch);
-        if (tracer_ != nullptr) {
-          tracer_->Instant("shard.release",
-                           {{"shard", s},
-                            {"epoch", static_cast<std::int64_t>(epoch)}});
-        }
-      }
-    }
   });
   for (const ApplyStats& stats : apply_stats_) {
-    slot->commit_evals += stats.evals;
-    slot->commit_replans += stats.replans;
+    exact_evaluations_ += stats.evals;
+    conflict_replans_ += stats.replans;
   }
-  shards_->MarkAllCommitted(epoch);
-  slot->state.store(SlotState::kFree, std::memory_order_relaxed);
 }
 
 PlannerFactory MakeDispatchWindowFactory(PlannerConfig config) {

@@ -49,15 +49,9 @@ void Fleet::AttachIndex(GridIndex* index) {
 void Fleet::AttachShards(FleetShards* shards) { shards_ = shards; }
 
 void Fleet::PushHeap(WorkerId w) {
-  if (!heap_enabled_) return;
   const Route& rt = routes_[static_cast<std::size_t>(w)];
   if (rt.empty()) return;
   heap_.push({rt.anchor_time() + rt.leg_costs().front(), w, rt.version()});
-}
-
-void Fleet::DisableArrivalHeap() {
-  heap_enabled_ = false;
-  heap_ = {};
 }
 
 void Fleet::CommitFront(WorkerId w) {
@@ -103,14 +97,6 @@ void Fleet::Touch(WorkerId w, double t) {
     CommitFront(w);
   }
   if (rt.empty() && rt.anchor_time() < t) rt.set_anchor_time(t);
-}
-
-void Fleet::AdvanceWorkerTo(WorkerId w, double t) {
-  const std::unique_lock<std::mutex> lock = MaybeLockShard(w);
-  Route& rt = routes_[static_cast<std::size_t>(w)];
-  while (!rt.empty() && rt.anchor_time() + rt.leg_costs().front() <= t) {
-    CommitFront(w);
-  }
 }
 
 void Fleet::ApplyInsertion(WorkerId w, const Request& r, int i, int j,

@@ -37,14 +37,15 @@ class Fleet {
 
   /// Switches the fleet into shard-safe mode (nullptr switches back):
   /// Touch, ApplyInsertion, ReplaceRoute and CachedState serialize on the
-  /// owning shard's mutex, and the cross-shard state a commit mutates
+  /// worker's mutex stripe, and the cross-shard state a commit mutates
   /// (arrival heap, grid index, pickup/drop-off records) goes behind one
-  /// commit mutex — so distinct requests may plan and mutate overlapping
-  /// worker sets from pool threads concurrently.
-  /// With no shards attached (the default) every call stays lock-free and
-  /// the PR-2 single-request contract applies. AdvanceTo and FinishAll
-  /// remain driver-thread-only in both modes: they walk the arrival heap
-  /// unlocked and must not overlap locked mutations.
+  /// commit mutex — so the dispatch-window engine's parallel planning and
+  /// commit tasks may plan and mutate overlapping worker sets from pool
+  /// threads concurrently. With no shards attached (the default) every
+  /// call stays lock-free and the single-request contract applies.
+  /// AdvanceTo and FinishAll stay on the event-loop thread in both modes:
+  /// they walk the arrival heap unlocked and must not overlap locked
+  /// mutations.
   void AttachShards(FleetShards* shards);
 
   int size() const { return static_cast<int>(workers_.size()); }
@@ -85,17 +86,6 @@ class Fleet {
   /// and, if idle, moves its clock forward to `t`.
   void Touch(WorkerId w, double t);
 
-  /// Commits worker `w`'s stops due at or before `t` — Touch without the
-  /// idle-clock bump, i.e. exactly worker `w`'s share of AdvanceTo(t).
-  /// The pipelined dispatch engine advances the fleet through this, shard
-  /// by shard, instead of the driver-only heap walk: per-worker advance
-  /// results are independent of each other, so a fixed shard-then-worker
-  /// call order reproduces AdvanceTo's end state deterministically while
-  /// individual shards advance as the previous window releases them.
-  /// Shard-locked like Touch; safe to interleave with commit-stage
-  /// mutations of workers in other shards.
-  void AdvanceWorkerTo(WorkerId w, double t);
-
   /// Applies an insertion (pickup after position i, drop-off after j) to
   /// worker `w`'s route and records the assignment.
   void ApplyInsertion(WorkerId w, const Request& r, int i, int j,
@@ -109,14 +99,6 @@ class Fleet {
 
   /// Commits all remaining stops (end of simulation).
   void FinishAll();
-
-  /// Drops the arrival heap and stops feeding it: commits no longer push
-  /// entries, and AdvanceTo becomes a no-op. The pipelined engine calls
-  /// this before its stages start — it advances the fleet exclusively
-  /// through AdvanceWorkerTo, so heap entries would accumulate for the
-  /// whole run with no consumer (three pushes per served request).
-  /// Irreversible for this Fleet; must not be combined with AdvanceTo.
-  void DisableArrivalHeap();
 
   /// Worker assigned to a request, or kInvalidWorker.
   WorkerId AssignedWorker(RequestId r) const;
@@ -140,8 +122,8 @@ class Fleet {
   /// legs only. Each worker's legs accumulate in route order into its own
   /// total, and the totals are summed in worker-id order, so the result is
   /// bit-identical whichever path committed the legs (the fleet-wide
-  /// arrival heap interleaves workers by time; Touch and AdvanceWorkerTo
-  /// commit one worker at a time).
+  /// arrival heap interleaves workers by time; Touch commits one worker
+  /// at a time).
   double committed_distance() const;
   /// Committed plus still-planned distance: equals sum_w D(S_w) over the
   /// full simulation once all requests are in.
@@ -175,7 +157,6 @@ class Fleet {
   const RoadNetwork* graph_;
   GridIndex* index_ = nullptr;
   FleetShards* shards_ = nullptr;  // non-null => shard-safe mode
-  bool heap_enabled_ = true;       // false => per-worker advance only
   std::mutex commit_mu_;           // guards cross-shard commit state
   std::vector<Route> routes_;
   std::vector<StateCacheEntry> state_cache_;  // slot w ↔ routes_[w]

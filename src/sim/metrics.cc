@@ -18,8 +18,6 @@ SimReport AverageReports(const std::vector<SimReport>& reports) {
   double served = 0.0, processed = 0.0, queries = 0.0, index_mem = 0.0;
   double rejected = 0.0, shed = 0.0, dnf = 0.0;
   double shed_deadline = 0.0, shed_overload = 0.0, shed_drain = 0.0;
-  double pl_windows = 0.0, pl_ingested = 0.0, pl_overlapped = 0.0,
-         pl_backpressure = 0.0;
   std::map<std::string, std::pair<double, int>> metric_sums;  // sum, runs
   for (const SimReport& r : reports) {
     served += r.served_requests;
@@ -45,36 +43,12 @@ SimReport AverageReports(const std::vector<SimReport>& reports) {
     avg.mean_pickup_wait_min += r.mean_pickup_wait_min / n;
     avg.mean_detour_ratio += r.mean_detour_ratio / n;
     avg.makespan_min = std::max(avg.makespan_min, r.makespan_min);
-    // Pipeline stage counters: means for the rates/totals, max for the
-    // backlog high-water mark (a depth mean would hide the worst burst).
-    // Integer counters accumulate below and round ONCE after the loop —
-    // rounding each term would collapse small counts (3 runs of
-    // windows = 1 would average to 0).
-    avg.pipeline.enabled = avg.pipeline.enabled || r.pipeline.enabled;
-    pl_windows += r.pipeline.windows;
-    pl_ingested += static_cast<double>(r.pipeline.ingested);
-    pl_overlapped += static_cast<double>(r.pipeline.overlapped_arrivals);
-    pl_backpressure += static_cast<double>(r.pipeline.backpressure_waits);
-    avg.pipeline.occupancy += r.pipeline.occupancy / n;
-    avg.pipeline.max_queue_depth =
-        std::max(avg.pipeline.max_queue_depth, r.pipeline.max_queue_depth);
-    avg.pipeline.ingest_wait_ms += r.pipeline.ingest_wait_ms / n;
-    avg.pipeline.plan_ms += r.pipeline.plan_ms / n;
-    avg.pipeline.commit_ms += r.pipeline.commit_ms / n;
-    // Stage-time distributions pool like the latency samples do.
-    avg.pipeline.plan_window_ms.Merge(r.pipeline.plan_window_ms);
-    avg.pipeline.commit_window_ms.Merge(r.pipeline.commit_window_ms);
-    avg.pipeline.ingest_wait_per_arrival_ms.Merge(
-        r.pipeline.ingest_wait_per_arrival_ms);
-    avg.pipeline.admission_latency_ms.Merge(r.pipeline.admission_latency_ms);
-    // Drain flags/cutoffs behave like run parameters: OR / max-propagate.
-    avg.pipeline.drained = avg.pipeline.drained || r.pipeline.drained;
-    avg.pipeline.drain_cutoff_min =
-        std::max(avg.pipeline.drain_cutoff_min, r.pipeline.drain_cutoff_min);
+    // The drain cutoff behaves like a run parameter: max-propagate.
+    avg.drain_cutoff_min = std::max(avg.drain_cutoff_min, r.drain_cutoff_min);
     avg.trace_enabled = avg.trace_enabled || r.trace_enabled;
     // Registry snapshots: element-wise mean over the runs that reported
     // the key (percentile sub-keys of a pooled distribution would need
-    // the digests — the pipeline stage digests above carry those; the
+    // the digests — response_stats above carries those for latency; the
     // map keeps counter/gauge magnitudes comparable across sweeps).
     for (const auto& [k, v] : r.metrics) {
       metric_sums[k].first += v;
@@ -100,13 +74,6 @@ SimReport AverageReports(const std::vector<SimReport>& reports) {
   avg.distance_queries = static_cast<std::int64_t>(std::llround(queries / n));
   avg.index_memory_bytes =
       static_cast<std::int64_t>(std::llround(index_mem / n));
-  avg.pipeline.windows = static_cast<int>(std::lround(pl_windows / n));
-  avg.pipeline.ingested =
-      static_cast<std::int64_t>(std::llround(pl_ingested / n));
-  avg.pipeline.overlapped_arrivals =
-      static_cast<std::int64_t>(std::llround(pl_overlapped / n));
-  avg.pipeline.backpressure_waits =
-      static_cast<std::int64_t>(std::llround(pl_backpressure / n));
   return avg;
 }
 

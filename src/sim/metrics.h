@@ -12,56 +12,6 @@
 
 namespace urpsm {
 
-/// Occupancy and per-stage counters of the pipelined dispatch engine
-/// (SimOptions::pipeline). All zeros when the run used the lock-step
-/// windowed or per-request loop.
-struct PipelineStats {
-  bool enabled = false;
-  /// Dispatch windows planned (== the last window epoch).
-  int windows = 0;
-  /// Arrivals accepted by the ingest queue (== total_requests unless the
-  /// run timed out; the queue never drops — backpressure blocks instead).
-  std::int64_t ingested = 0;
-  /// Arrivals the ingest stage accepted while a window was mid-plan or
-  /// mid-commit — the overlap the pipeline exists to create.
-  std::int64_t overlapped_arrivals = 0;
-  /// overlapped_arrivals / ingested: 0 = fully lock-step, 1 = ingest
-  /// never had to wait for the planner between windows.
-  double occupancy = 0.0;
-  /// Ingest-queue backlog high-water mark (bounded by
-  /// SimOptions::ingest_capacity).
-  std::int64_t max_queue_depth = 0;
-  /// Push calls that blocked on a full queue (backpressure events).
-  std::int64_t backpressure_waits = 0;
-  /// Per-stage totals: time arrivals spent queued (ingest), wall time in
-  /// PlanWindow (plan), wall time in CommitWindow (commit). plan+commit
-  /// overlap in real time across consecutive windows, so their sum can
-  /// exceed the run's wall_seconds.
-  double ingest_wait_ms = 0.0;
-  double plan_ms = 0.0;
-  double commit_ms = 0.0;
-  /// Per-window / per-arrival stage-time distributions behind the total
-  /// ms fields above: PlanWindow wall time per window, CommitWindow wall
-  /// time per window, queued time per arrival. Digest-backed, so
-  /// AverageReports pools them across runs (true pooled percentiles,
-  /// not averaged ones).
-  StatsAccumulator plan_window_ms;
-  StatsAccumulator commit_window_ms;
-  StatsAccumulator ingest_wait_per_arrival_ms;
-  /// Per-arrival admission latency (ms): wall time between the producer
-  /// offering an arrival and the queue's admit/shed decision — the time
-  /// a requester would wait at the front door. Non-trivial only under
-  /// AdmissionPolicy::kBlock (backpressure blocks the offer); the
-  /// shedding policies decide without blocking.
-  StatsAccumulator admission_latency_ms;
-  /// Graceful drain: the simulated cutoff (minutes) that ended ingest,
-  /// or -1 when the run never drained. Set by SimOptions::drain_after_s
-  /// or the kDrainTrigger fault site.
-  double drain_cutoff_min = -1.0;
-  /// Whether the drain cutoff actually fired (a release crossed it).
-  bool drained = false;
-};
-
 /// One simulation run's results: the three headline metrics of the paper's
 /// evaluation (unified cost, served rate, response time; Sec. 6.1) plus
 /// the supporting counters it also reports (distance queries saved by the
@@ -89,8 +39,12 @@ struct SimReport {
   int dnf_requests = 0;
   /// Shed counts by reason; their sum equals shed_requests.
   std::int64_t shed_deadline = 0;  // ingress slack below the admission floor
-  std::int64_t shed_overload = 0;  // queue-full shed + window budget excess
+  std::int64_t shed_overload = 0;  // window budget excess
   std::int64_t shed_drain = 0;     // released at/after the drain cutoff
+  /// Graceful drain: the simulated cutoff (minutes, from SimOptions::
+  /// drain_after_s or the kDrainTrigger fault site) that shed the rest of
+  /// the table, or -1 when the run did not drain (shed_drain == 0).
+  double drain_cutoff_min = -1.0;
   double served_rate = 0.0;
   double unified_cost = 0.0;
   double total_distance = 0.0;    // sum_w D(S_w), travel-time minutes
@@ -120,10 +74,6 @@ struct SimReport {
   double mean_pickup_wait_min = 0.0;   // pickup time - release, served only
   double mean_detour_ratio = 0.0;      // (dropoff-pickup) / dis(o,d), served
   double makespan_min = 0.0;           // completion time of the last dropoff
-
-  /// Pipelined-engine stage/occupancy counters (zeros unless
-  /// SimOptions::pipeline drove the run).
-  PipelineStats pipeline;
 
   /// Whether SimOptions::trace_path was set for the run (recorded in
   /// every BENCH line so trajectory comparisons stay apples-to-apples).

@@ -11,13 +11,23 @@
 #include "src/model/feasibility.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
-#include "src/parallel/ingest_queue.h"
 #include "src/parallel/thread_pool.h"
 #include "src/sim/fleet.h"
 #include "src/sim/metrics.h"
 #include "src/util/fault.h"
 
 namespace urpsm {
+
+/// Which deterministic overload levers the windowed event loop arms.
+/// kBlock (the default) leaves SimOptions::admission_slack_min and
+/// SimOptions::window_admit_budget off; the two shedding policies arm
+/// both and pick the budget's victims. The drain cutoff
+/// (SimOptions::drain_after_s) works under every policy.
+enum class AdmissionPolicy : int {
+  kBlock = 0,            // slack floor and admit budget off
+  kRejectAtIngress = 1,  // an over-budget window sheds its latest releases
+  kShedOldestSlack = 2,  // an over-budget window sheds the least slack first
+};
 
 /// Options for one simulation run.
 struct SimOptions {
@@ -27,13 +37,14 @@ struct SimOptions {
   double wall_limit_seconds = 1e18;
   /// Shared LRU cache capacity for distance queries (0 disables).
   std::size_t cache_capacity = 1 << 20;
-  /// Threads available to planners that use the parallel dispatch engine
-  /// (ParallelGreedyDpPlanner, DispatchWindowPlanner). 1 keeps the run
+  /// Threads available to the parallel dispatch engine
+  /// (DispatchWindowPlanner), which fans one window's per-request
+  /// planning and its footprint commits across them. 1 keeps the run
   /// fully sequential; above 1 the simulation owns a ThreadPool of this
   /// size and exposes it via PlanningContext::thread_pool(). Sequential
-  /// planners simply ignore it. The request replay loop itself stays
-  /// single-threaded — requests are serialized by release time, as in the
-  /// paper.
+  /// planners simply ignore it. The event loop itself stays
+  /// single-threaded — requests and windows are serialized by release
+  /// time, as in the paper.
   int num_threads = 1;
   /// Dispatch-window length in simulated *seconds*. When > 0 and the
   /// planner implements BatchPlanner, Run() switches to the windowed
@@ -45,69 +56,48 @@ struct SimOptions {
   /// DispatchWindowPlanner guarantees that mode is bit-identical to the
   /// sequential pruneGreedyDP run at every thread count.
   double batch_window_s = 0.0;
-  /// Pipelined three-stage engine (ingest → plan → commit). Requires
-  /// batch_window_s > 0 and a planner implementing PipelinedBatchPlanner
-  /// (the dispatch-window engine); otherwise the option is ignored and
-  /// the lock-step windowed loop runs. With pipelining, the driver thread
-  /// keeps accepting and time-stamping arrivals for window k+1 while
-  /// window k is still being planned, and window k+1's per-shard work
-  /// starts as window k's commit stage releases each shard. Results are
-  /// thread-count and queue-capacity independent for a fixed window size
-  /// (SimReport deterministic fields; wall-clock stats vary run to run).
-  bool pipeline = false;
-  /// Ingest-queue capacity (arrivals buffered ahead of planning) when
-  /// pipeline is on. The queue is bounded: a full queue blocks the
-  /// producer (backpressure) rather than dropping arrivals, so this caps
-  /// backlog memory without affecting any planning result.
-  std::size_t ingest_capacity = 4096;
   /// Collect engine metrics (obs::Registry) for the run and attach the
   /// final snapshot to SimReport::metrics. Off by default: the
   /// instrumentation is compiled in everywhere but its hot paths reduce
   /// to a single branch when disabled (<2% overhead, measured by
   /// bench_hotpath's obs_overhead lines).
   bool collect_metrics = false;
-  /// When non-empty, record engine spans (ingest/plan/commit stages,
-  /// window epochs, per-shard commits) and write Chrome
-  /// trace-event JSON here at the end of the run — loadable in Perfetto
-  /// or chrome://tracing. Independent of collect_metrics.
+  /// When non-empty, record engine spans (per-request plans, windows
+  /// with their epochs, per-proposal commits with their shards) and
+  /// write Chrome trace-event JSON here at the end of the run — loadable
+  /// in Perfetto or chrome://tracing. Independent of collect_metrics.
   std::string trace_path;
   /// When non-empty (and collect_metrics is on), a background thread
   /// appends a JSON-lines registry snapshot to this file every
   /// metrics_snapshot_period_s seconds — the long-serving-loop exporter.
   std::string metrics_snapshot_path;
   double metrics_snapshot_period_s = 1.0;
-  /// Deadline-aware admission control of the pipelined ingest stage.
-  /// kBlock (default) is the lossless PR 7 behavior: a full queue blocks
-  /// the producer and nothing is ever shed. The shedding policies arm the
-  /// two *deterministic* admission levers below — both pure functions of
-  /// simulated time, so shed sets are identical across thread counts —
-  /// plus the queue-full safety valve (reject the incoming arrival under
-  /// kRejectAtIngress, evict the least-slack queued one under
-  /// kShedOldestSlack). The safety valve depends on physical queue
-  /// occupancy (wall clock); size ingest_capacity above the real backlog
-  /// wherever determinism matters.
+  /// Overload levers of the windowed event loop (batch_window_s > 0 and
+  /// a BatchPlanner; the per-request loop ignores them). All three act
+  /// at window assembly and are pure functions of simulated time and the
+  /// request table, so shed sets are identical across thread counts.
+  /// kBlock (default) turns the slack floor and the admit budget off;
+  /// the drain cutoff works under every policy.
   AdmissionPolicy admission_policy = AdmissionPolicy::kBlock;
-  /// Ingress deadline-slack floor (simulated minutes): an arrival whose
+  /// Ingress deadline-slack floor (simulated minutes): a request whose
   /// deadline minus release minus the Euclidean lower-bound travel time
-  /// falls below this is shed at ingress (reason: deadline) — it could
-  /// not be delivered in time even by an adjacent idle worker, so the
-  /// drop is correct degradation, not data loss. Computed with the
-  /// oracle-free Euclidean bound, so arming it perturbs no query count.
-  /// <= 0 (default) disables the filter; ignored under kBlock.
+  /// falls below this is shed (reason: deadline) before it can open or
+  /// join a window — it could not be delivered in time even by an
+  /// adjacent idle worker, so the drop is correct degradation, not data
+  /// loss. Computed with the oracle-free Euclidean bound, so arming it
+  /// perturbs no query count. <= 0 (default) disables the filter.
   double admission_slack_min = 0.0;
-  /// Per-window admit budget: at window assembly the plan stage keeps at
-  /// most this many members and sheds the excess (reason: overload) —
-  /// least slack first under kShedOldestSlack, latest releases under
-  /// kRejectAtIngress. Window membership is deterministic, so this lever
-  /// is too. 0 (default) = unlimited; ignored under kBlock.
+  /// Per-window admit budget: an assembled window keeps at most this many
+  /// members and sheds the excess (reason: overload) — least slack first
+  /// (ties: lowest id) under kShedOldestSlack, latest releases under
+  /// kRejectAtIngress. 0 (default) = unlimited.
   int window_admit_budget = 0;
-  /// Graceful drain: once a release time reaches this simulated instant
-  /// (seconds, same clock as batch_window_s) the ingest stage stops
-  /// admitting, in-flight window slots are flushed and committed, and
-  /// the un-admitted remainder is shed (reason: drain) with exact final
-  /// accounting — the serving-loop shutdown path, as opposed to the
-  /// wall-limit kill switch which cancels and DNFs. < 0 (default) never
-  /// drains. Works under every admission policy.
+  /// Graceful drain: the first request released at or after this
+  /// simulated instant (seconds, same clock as batch_window_s) sheds the
+  /// rest of the table (reason: drain); the window being assembled still
+  /// plans and commits, so accounting stays exact — the serving-loop
+  /// shutdown path, as opposed to the wall-limit kill switch, which
+  /// DNFs. < 0 (default) never drains.
   double drain_after_s = -1.0;
   /// Deterministic fault injection (tests/benches): a seeded splitmix64
   /// schedule of wall-clock perturbations at named engine sites (see
@@ -122,8 +112,6 @@ struct SimOptions {
 /// by the Simulation constructor, so every run sees sane options instead
 /// of per-site silent clamps). Invalid combinations are clamped to the
 /// nearest sane value with a warning on stderr:
-///   - pipeline without batch_window_s > 0  -> pipeline off
-///   - ingest_capacity == 0                 -> 1
 ///   - negative batch_window_s / wall limit / slack floor / budget -> 0
 ///   - num_threads < 1                      -> 1
 ///   - metrics_snapshot_period_s <= 0       -> 1.0
@@ -138,8 +126,9 @@ SimOptions ValidateSimOptions(SimOptions options,
 /// time; the planner then serves or rejects the request. With
 /// SimOptions::batch_window_s > 0 and a BatchPlanner, the replay loop is
 /// windowed instead: whole release windows are handed over in one OnBatch
-/// call. At the end all committed+planned work is flushed and the unified
-/// cost, served rate and response times are collected.
+/// call, in lock step with the fleet. At the end all committed+planned
+/// work is flushed and the unified cost, served rate and response times
+/// are collected.
 class Simulation {
  public:
   /// `requests` must be sorted by release time (ascending), and ids must
@@ -162,14 +151,13 @@ class Simulation {
   bool request_served(RequestId id) const;
 
  private:
-  // The three event loops Run dispatches between. Each processes the
+  // The two event loops Run dispatches between. Each processes the
   // request stream, mutates the loop-specific SimReport fields
-  // (processed_requests, response samples, timed_out, pipeline stats) and
+  // (processed_requests, response samples, timed_out, shed counts) and
   // returns the planning wall time consumed — the Finalize budget and
-  // kill-switch accounting are shared by all three.
+  // kill-switch accounting are shared by both.
   double RunPerRequest(RoutePlanner* planner, SimReport* report);
   double RunWindowed(BatchPlanner* batcher, SimReport* report);
-  double RunPipelined(PipelinedBatchPlanner* planner, SimReport* report);
 
   const RoadNetwork* graph_;
   DistanceOracle* oracle_;
@@ -185,8 +173,8 @@ class Simulation {
   std::unique_ptr<obs::Registry> registry_;
   std::unique_ptr<obs::TraceRecorder> tracer_;
   /// Fault injector of the run (null unless SimOptions::faults.enabled) —
-  /// wired through PlanningContext / CachedOracle / ThreadPool like the
-  /// obs instruments.
+  /// wired into CachedOracle and ThreadPool like the obs instruments, and
+  /// read by RunWindowed for the drain trigger.
   std::unique_ptr<FaultInjector> faults_;
   std::vector<bool> served_;
 };
@@ -194,10 +182,6 @@ class Simulation {
 /// Convenience wrapper: build a planner of the given kind.
 PlannerFactory MakePruneGreedyDpFactory(PlannerConfig config);
 PlannerFactory MakeGreedyDpFactory(PlannerConfig config);
-/// ParallelGreedyDpPlanner on the simulation's pool (SimOptions::
-/// num_threads); with pruning on, the parallel twin of pruneGreedyDP —
-/// bit-identical results, candidate evaluation fanned across threads.
-PlannerFactory MakeParallelGreedyDpFactory(PlannerConfig config);
 
 }  // namespace urpsm
 

@@ -25,10 +25,7 @@ double ToUnit(std::uint64_t w) {
 
 const char* FaultSiteName(FaultSite site) {
   switch (site) {
-    case FaultSite::kIngestStall: return "ingest_stall";
-    case FaultSite::kIngestBurst: return "ingest_burst";
     case FaultSite::kOracleDelay: return "oracle_delay";
-    case FaultSite::kShardLockHold: return "shard_lock_hold";
     case FaultSite::kPoolTaskDelay: return "pool_task_delay";
     case FaultSite::kDrainTrigger: return "drain_trigger";
   }

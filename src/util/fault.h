@@ -6,20 +6,17 @@
 
 namespace urpsm {
 
-/// Named fault-injection sites along the ingest -> plan -> commit path of
-/// the pipelined engine. Each site is a point where a seeded schedule may
-/// perturb the *wall-clock* timing of the run — never a planning input —
-/// so every deterministic SimReport field must survive any schedule (the
-/// fault suite's core assertion).
+/// Named fault-injection sites of the engine. The two timing sites are
+/// points where a seeded schedule may perturb the *wall-clock* timing of
+/// the run — never a planning input — so every deterministic SimReport
+/// field must survive any schedule (the fault suite's core assertion).
+/// The drain trigger instead moves a simulated-time cutoff.
 enum class FaultSite : int {
-  kIngestStall = 0,   // short producer pause before an arrival is offered
-  kIngestBurst = 1,   // long producer pause -> a release backlog bursts out
-  kOracleDelay = 2,   // distance-query latency in CachedOracle::Distance
-  kShardLockHold = 3, // commit stage holds a shard's epoch lock longer
-  kPoolTaskDelay = 4, // thread-pool chunk execution delay
-  kDrainTrigger = 5,  // mid-run graceful drain at a seed-derived instant
+  kOracleDelay = 0,   // distance-query latency in CachedOracle::Distance
+  kPoolTaskDelay = 1, // thread-pool chunk execution delay
+  kDrainTrigger = 2,  // mid-run graceful drain at a seed-derived instant
 };
-inline constexpr int kNumFaultSites = 6;
+inline constexpr int kNumFaultSites = 3;
 
 const char* FaultSiteName(FaultSite site);
 

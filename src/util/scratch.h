@@ -10,8 +10,8 @@ namespace urpsm {
 
 /// Shrink-past-high-water policy for reusable scratch buffers.
 ///
-/// Hot-path scratch vectors (thread_local planner columns, per-slot window
-/// workspaces) are recycled across uses so steady state allocates nothing —
+/// Hot-path scratch vectors (thread_local planner columns, the window
+/// workspace) are recycled across uses so steady state allocates nothing —
 /// but a single giant window would otherwise pin their capacity at the
 /// largest size ever seen for the rest of the run. A HighWaterClamp sits
 /// next to each such buffer: Observe() records the size of every use, and

@@ -1,11 +1,15 @@
-// Tests for the batched dispatch-window engine: FleetShards partitioning,
-// window = 0 bit-identity with sequential pruneGreedyDP at every thread
-// count, thread-count determinism of real windows, per-window invariant
-// checks on accept- and rejection-heavy workloads, and a shard-conflict
-// fuzz driving concurrent Touch/ApplyInsertion on contended workers
-// (run under tsan by the tsan preset).
+// Tests for the batched dispatch-window engine and the lock-step windowed
+// event loop: FleetShards partitioning, window = 0 bit-identity with
+// sequential pruneGreedyDP at every thread count, thread-count
+// determinism of real windows, per-window invariant checks on accept- and
+// rejection-heavy workloads, a shard-conflict fuzz driving concurrent
+// Touch/ApplyInsertion on contended workers, random-workload and
+// commit-conflict fuzzes of the full loop, the overload levers (slack
+// floor, window budget, drain), the kill switch and sub-ulp windows. The
+// suites run under tsan by the tsan preset.
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -404,6 +408,312 @@ TEST(ShardConflictFuzzTest, ConcurrentMutationAcrossShards) {
   EXPECT_GT(applied.load(), 0);
   const InvariantReport inv = VerifyInvariants(fleet, all);
   EXPECT_TRUE(inv.ok) << inv.violation;
+}
+
+// ------------------------------------------- lock-step loop: fuzzes
+
+// ExpectIdentical plus the billed distance queries: the task
+// decomposition is structural, so query counts are thread-independent.
+void ExpectSameRun(const WorkloadRun& a, const WorkloadRun& b,
+                   const std::string& label) {
+  ExpectIdentical(a, b, label);
+  EXPECT_EQ(a.report.distance_queries, b.report.distance_queries) << label;
+}
+
+// One random workload through the full windowed loop (4-s windows) at 4
+// threads vs the 1-thread reference: results must match bit-for-bit and
+// the 4-thread fleet must stay invariant-clean.
+void ExpectFourThreadsMatchOne(const RoadNetwork& graph,
+                               DistanceOracle* oracle,
+                               const std::vector<Worker>& workers,
+                               const std::vector<Request>& requests,
+                               const std::string& label) {
+  const WorkloadRun base = RunOnce(graph, oracle, workers, requests,
+                                   MakeDispatchWindowFactory({}), 1, 4.0);
+  SimOptions options;
+  options.num_threads = 4;
+  options.batch_window_s = 4.0;
+  Simulation sim(&graph, oracle, workers, &requests, options);
+  WorkloadRun run;
+  run.report = sim.Run(MakeDispatchWindowFactory({}));
+  run.served = sim.served();
+  ExpectSameRun(base, run, label);
+  const InvariantReport inv = VerifyInvariants(sim.fleet(), requests);
+  EXPECT_TRUE(inv.ok) << label << ": " << inv.violation;
+}
+
+TEST(DispatchWindowFuzzTest, RandomWorkloadsMatchSingleThreadedRun) {
+  // Run under tsan by the tsan preset — the parallel planning and
+  // footprint commits are what it probes.
+  for (const int seed : {3, 17}) {
+    const RoadNetwork graph = MakeChengduLike(0.05, seed);
+    HubLabelOracle labels = HubLabelOracle::Build(graph);
+    Rng rng(100 + seed);
+    RequestParams rp;
+    rp.count = 150;
+    rp.duration_min = 100.0;
+    rp.penalty_factor = (seed % 2 == 0) ? 2.5 : 12.0;
+    rp.seed = 200 + seed;
+    const std::vector<Request> requests =
+        GenerateRequests(graph, rp, &labels, &rng);
+    const std::vector<Worker> workers = GenerateWorkers(graph, 9, 4.0, &rng);
+    ExpectFourThreadsMatchOne(graph, &labels, workers, requests,
+                              "seed=" + std::to_string(seed));
+  }
+}
+
+TEST(DispatchWindowCommitConflictTest, ConcurrentFootprintsMatchSerialCommit) {
+  // Conflict-heavy fuzz for the parallel commit stage: a compact fleet
+  // on a small graph makes accepted proposals' shard footprints overlap
+  // constantly, so the per-shard ticket queues (and the replan path for
+  // proposals invalidated by an earlier conflicting commit) are
+  // exercised hard. Run under tsan by the tsan preset.
+  for (const int seed : {5, 23}) {
+    const RoadNetwork graph = MakeChengduLike(0.05, seed);
+    HubLabelOracle labels = HubLabelOracle::Build(graph);
+    Rng rng(300 + seed);
+    RequestParams rp;
+    rp.count = 150;
+    rp.duration_min = 70.0;  // dense: many requests per window
+    rp.penalty_factor = (seed % 2 == 0) ? 20.0 : 8.0;
+    rp.seed = 400 + seed;
+    const std::vector<Request> requests =
+        GenerateRequests(graph, rp, &labels, &rng);
+    const std::vector<Worker> workers = GenerateWorkers(graph, 7, 4.0, &rng);
+    ExpectFourThreadsMatchOne(graph, &labels, workers, requests,
+                              "seed=" + std::to_string(seed));
+  }
+}
+
+// ------------------------------------------- admission control / drain
+
+// Shared workload for the admission tests (tighter than the determinism
+// sweeps: the levers, not the planner, are under test here).
+struct AdmissionWorkload {
+  explicit AdmissionWorkload(RoadNetwork g) : graph(std::move(g)) {}
+  RoadNetwork graph;
+  std::unique_ptr<HubLabelOracle> labels;
+  std::vector<Request> requests;
+  std::vector<Worker> workers;
+};
+
+const AdmissionWorkload& AdmissionSetup() {
+  static const AdmissionWorkload* w = [] {
+    auto* aw = new AdmissionWorkload(MakeChengduLike(0.05, 2));
+    aw->labels =
+        std::make_unique<HubLabelOracle>(HubLabelOracle::Build(aw->graph));
+    Rng rng(67);
+    RequestParams rp;
+    rp.count = 180;
+    rp.duration_min = 90.0;  // dense: several requests per 6 s window
+    rp.seed = 71;
+    aw->requests = GenerateRequests(aw->graph, rp, aw->labels.get(), &rng);
+    // Every third request gets a near-impossible deadline (2 min of
+    // slack against a 6 min admission floor) so the slack-floor tests
+    // have a deterministic population to shed; the rest keep the
+    // generator's 10 min offset.
+    for (std::size_t i = 0; i < aw->requests.size(); i += 3) {
+      aw->requests[i].deadline = aw->requests[i].release_time + 2.0;
+    }
+    aw->workers = GenerateWorkers(aw->graph, 10, 4.0, &rng);
+    return aw;
+  }();
+  return *w;
+}
+
+WorkloadRun RunAdmission(SimOptions options) {
+  const AdmissionWorkload& w = AdmissionSetup();
+  options.batch_window_s = 6.0;
+  HubLabelOracle labels = *w.labels;  // per-run query counters
+  Simulation sim(&w.graph, &labels, w.workers, &w.requests, options);
+  WorkloadRun run;
+  run.report = sim.Run(MakeDispatchWindowFactory({}));
+  run.served = sim.served();
+  const InvariantReport acct = CheckAccounting(run.report);
+  EXPECT_TRUE(acct.ok) << acct.violation;
+  const InvariantReport inv = VerifyInvariants(sim.fleet(), w.requests);
+  EXPECT_TRUE(inv.ok) << inv.violation;
+  return run;
+}
+
+void ExpectSameShedAccounting(const WorkloadRun& a, const WorkloadRun& b,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  ExpectSameRun(a, b, label);
+  EXPECT_EQ(a.report.rejected_requests, b.report.rejected_requests);
+  EXPECT_EQ(a.report.shed_requests, b.report.shed_requests);
+  EXPECT_EQ(a.report.dnf_requests, b.report.dnf_requests);
+  EXPECT_EQ(a.report.shed_deadline, b.report.shed_deadline);
+  EXPECT_EQ(a.report.shed_overload, b.report.shed_overload);
+  EXPECT_EQ(a.report.shed_drain, b.report.shed_drain);
+}
+
+TEST(DispatchWindowAdmissionTest, BlockPolicyShedsNothingAndMatchesDefault) {
+  SimOptions plain;
+  plain.num_threads = 2;
+  const WorkloadRun base = RunAdmission(plain);
+  EXPECT_EQ(base.report.shed_requests, 0);
+  EXPECT_EQ(base.report.dnf_requests, 0);
+  EXPECT_EQ(base.report.rejected_requests,
+            base.report.processed_requests - base.report.served_requests);
+  // A shedding policy with no lever armed must be bit-identical to the
+  // lossless kBlock run.
+  SimOptions shed = plain;
+  shed.admission_policy = AdmissionPolicy::kShedOldestSlack;
+  const WorkloadRun unarmed = RunAdmission(shed);
+  ExpectSameShedAccounting(base, unarmed, "unarmed kShedOldestSlack");
+  EXPECT_EQ(unarmed.report.shed_requests, 0);
+}
+
+TEST(DispatchWindowAdmissionTest, SlackFloorShedsUnservableDeterministically) {
+  SimOptions options;
+  options.num_threads = 1;
+  options.admission_policy = AdmissionPolicy::kShedOldestSlack;
+  options.admission_slack_min = 6.0;  // deadline offset is 10 min: bites
+  const WorkloadRun base = RunAdmission(options);
+  EXPECT_GT(base.report.shed_deadline, 0);
+  EXPECT_EQ(base.report.shed_overload, 0);
+  EXPECT_EQ(base.report.shed_drain, 0);
+  EXPECT_GT(base.report.served_requests, 0);
+  // The floor is a pure function of the workload (Euclidean lower bound):
+  // every thread count sheds the same set.
+  for (const int threads : {2, 4}) {
+    SimOptions o = options;
+    o.num_threads = threads;
+    ExpectSameShedAccounting(base, RunAdmission(o),
+                             "slack floor threads=" + std::to_string(threads));
+  }
+}
+
+TEST(DispatchWindowAdmissionTest, WindowBudgetShedsExcessDeterministically) {
+  for (const AdmissionPolicy policy : {AdmissionPolicy::kShedOldestSlack,
+                                       AdmissionPolicy::kRejectAtIngress}) {
+    SimOptions options;
+    options.num_threads = 1;
+    options.admission_policy = policy;
+    options.window_admit_budget = 4;  // windows carry ~12 requests: bites
+    const WorkloadRun base = RunAdmission(options);
+    EXPECT_GT(base.report.shed_overload, 0);
+    EXPECT_EQ(base.report.shed_deadline, 0);
+    EXPECT_GT(base.report.served_requests, 0);
+    for (const int threads : {2, 4}) {
+      SimOptions o = options;
+      o.num_threads = threads;
+      ExpectSameShedAccounting(
+          base, RunAdmission(o),
+          "budget policy=" +
+              std::to_string(static_cast<int>(policy)) +
+              " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(DispatchWindowDrainTest, CutoffCommitsPrefixAndShedsRemainderGracefully) {
+  SimOptions options;
+  options.num_threads = 1;
+  options.drain_after_s = 45.0 * 60.0;  // half the 90-min workload
+  const WorkloadRun base = RunAdmission(options);
+  EXPECT_EQ(base.report.drain_cutoff_min, 45.0);
+  EXPECT_GT(base.report.shed_drain, 0);
+  EXPECT_GT(base.report.served_requests, 0);
+  // Graceful: everything admitted before the cutoff is planned and
+  // committed (no DNFs, unlike the wall-limit kill switch) and the shed
+  // remainder is billed its penalty.
+  EXPECT_EQ(base.report.dnf_requests, 0);
+  EXPECT_EQ(base.report.processed_requests,
+            base.report.total_requests -
+                static_cast<int>(base.report.shed_drain));
+  EXPECT_GT(base.report.penalty_sum, 0.0);
+  EXPECT_FALSE(base.report.timed_out);
+  // The cutoff is simulated time: thread counts cannot move it, and drain
+  // works under every admission policy.
+  for (const int threads : {2, 4}) {
+    SimOptions o = options;
+    o.num_threads = threads;
+    o.admission_policy = threads == 2 ? AdmissionPolicy::kBlock
+                                      : AdmissionPolicy::kShedOldestSlack;
+    ExpectSameShedAccounting(base, RunAdmission(o),
+                             "drain threads=" + std::to_string(threads));
+  }
+}
+
+// ------------------------------------------- kill switch / tiny windows
+
+TEST(DispatchWindowTimeoutTest, KillSwitchStopsAfterFirstWindow) {
+  // A zero wall budget: the loop plans the first window before it checks
+  // the budget, then stops. The unplanned remainder is DNF, billed its
+  // penalty, and the accounting partition stays exact.
+  const RoadNetwork graph = MakeChengduLike(0.05, 5);
+  HubLabelOracle labels = HubLabelOracle::Build(graph);
+  Rng rng(73);
+  RequestParams rp;
+  rp.count = 300;
+  rp.duration_min = 90.0;
+  rp.penalty_factor = 10.0;
+  rp.seed = 79;
+  const std::vector<Request> requests =
+      GenerateRequests(graph, rp, &labels, &rng);
+  const std::vector<Worker> workers = GenerateWorkers(graph, 10, 4.0, &rng);
+
+  SimOptions options;
+  options.num_threads = 2;
+  options.batch_window_s = 6.0;
+  options.wall_limit_seconds = 0.0;
+  Simulation sim(&graph, &labels, workers, &requests, options);
+  const SimReport rep = sim.Run(MakeDispatchWindowFactory({}));
+
+  EXPECT_TRUE(rep.timed_out);
+  EXPECT_GT(rep.processed_requests, 0);
+  EXPECT_LT(rep.processed_requests, rep.total_requests);
+  EXPECT_EQ(rep.response_stats.count(),
+            static_cast<std::size_t>(rep.processed_requests));
+  EXPECT_EQ(rep.dnf_requests, rep.total_requests - rep.processed_requests);
+  EXPECT_EQ(rep.shed_requests, 0);
+  double unserved_penalty = 0.0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (!sim.served()[i]) unserved_penalty += requests[i].penalty;
+  }
+  EXPECT_DOUBLE_EQ(rep.penalty_sum, unserved_penalty);
+  const InvariantReport acct = CheckAccounting(rep);
+  EXPECT_TRUE(acct.ok) << acct.violation;
+  const InvariantReport inv = VerifyInvariants(sim.fleet(), requests);
+  EXPECT_TRUE(inv.ok) << inv.violation;
+}
+
+TEST(DispatchWindowTinyWindowTest, SubUlpWindowStillTakesEveryRequest) {
+  // Near minute 1,000 a 1e-12 s window is below half an ulp of the
+  // release time, so release + window rounds back to the release. The
+  // window's first request must still be taken: admitting it only when
+  // release < window_end would leave the loop spinning on an empty
+  // batch. Every window is then a singleton planned at its release time
+  // — the per-request semantics, so the run equals sequential
+  // pruneGreedyDP.
+  const RoadNetwork graph = MakeChengduLike(0.05, 3);
+  HubLabelOracle labels = HubLabelOracle::Build(graph);
+  Rng rng(83);
+  RequestParams rp;
+  rp.count = 20;
+  rp.duration_min = 10.0;
+  rp.seed = 89;
+  std::vector<Request> requests = GenerateRequests(graph, rp, &labels, &rng);
+  for (Request& r : requests) {
+    r.release_time += 1000.0;
+    r.deadline += 1000.0;
+  }
+  const std::vector<Worker> workers = GenerateWorkers(graph, 6, 4.0, &rng);
+  const double window_s = 1e-12;
+  ASSERT_EQ(requests.front().release_time + window_s / 60.0,
+            requests.front().release_time);
+
+  const WorkloadRun tiny = RunOnce(graph, &labels, workers, requests,
+                                   MakeDispatchWindowFactory({}), 2, window_s);
+  EXPECT_EQ(tiny.report.processed_requests, tiny.report.total_requests);
+  EXPECT_FALSE(tiny.report.timed_out);
+  const InvariantReport acct = CheckAccounting(tiny.report);
+  EXPECT_TRUE(acct.ok) << acct.violation;
+  const WorkloadRun sequential = RunOnce(
+      graph, &labels, workers, requests, MakePruneGreedyDpFactory({}), 1);
+  ExpectIdentical(sequential, tiny, "1e-12 s windows vs per-request");
 }
 
 }  // namespace

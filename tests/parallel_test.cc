@@ -1,7 +1,6 @@
-// Tests for the parallel dispatch engine: ThreadPool/ParallelFor,
-// ShardedLruCache, the concurrent CachedOracle path, and the determinism
-// regression proving ParallelGreedyDpPlanner is bit-identical to the
-// sequential GreedyDP planners for every thread count.
+// Tests for the parallel building blocks of the dispatch engine:
+// ThreadPool/ParallelFor, ShardedLruCache and the concurrent
+// CachedOracle path.
 
 #include <atomic>
 #include <cstdint>
@@ -10,13 +9,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/parallel/parallel_planner.h"
 #include "src/parallel/thread_pool.h"
-#include "src/shortest/hub_labels.h"
-#include "src/sim/simulator.h"
+#include "src/shortest/oracle.h"
 #include "src/util/sharded_lru_cache.h"
 #include "src/workload/city.h"
-#include "src/workload/requests.h"
 
 namespace urpsm {
 namespace {
@@ -231,104 +227,6 @@ TEST(CachedOracleConcurrencyTest, ConcurrentDistancesMatchSequential) {
   // Every top-level call is counted exactly once, concurrency or not.
   EXPECT_EQ(cached.query_count(), static_cast<std::int64_t>(kThreads) * kPairs);
 }
-
-// ------------------------------------------------- determinism regression
-
-struct WorkloadRun {
-  SimReport report;
-  std::vector<bool> served;
-};
-
-WorkloadRun RunOnce(const RoadNetwork& graph, DistanceOracle* oracle,
-                    const std::vector<Worker>& workers,
-                    const std::vector<Request>& requests,
-                    const PlannerFactory& factory, int num_threads) {
-  SimOptions options;
-  options.num_threads = num_threads;
-  Simulation sim(&graph, oracle, workers, &requests, options);
-  WorkloadRun run;
-  run.report = sim.Run(factory);
-  run.served = sim.served();
-  return run;
-}
-
-// Bit-identical on every deterministic field (wall-clock response-time
-// stats are inherently run-dependent and excluded).
-void ExpectIdentical(const WorkloadRun& a, const WorkloadRun& b,
-                     const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.report.served_requests, b.report.served_requests);
-  EXPECT_EQ(a.report.unified_cost, b.report.unified_cost);
-  EXPECT_EQ(a.report.total_distance, b.report.total_distance);
-  EXPECT_EQ(a.report.penalty_sum, b.report.penalty_sum);
-  EXPECT_EQ(a.report.mean_pickup_wait_min, b.report.mean_pickup_wait_min);
-  EXPECT_EQ(a.report.mean_detour_ratio, b.report.mean_detour_ratio);
-  EXPECT_EQ(a.report.makespan_min, b.report.makespan_min);
-  EXPECT_EQ(a.served, b.served);
-}
-
-class ParallelPlannerDeterminismTest
-    : public ::testing::TestWithParam<double> {};
-
-TEST_P(ParallelPlannerDeterminismTest, BitIdenticalToSequentialForAllThreadCounts) {
-  const double penalty_factor = GetParam();
-  const RoadNetwork graph = MakeChengduLike(0.05, 2);
-  HubLabelOracle labels = HubLabelOracle::Build(graph);
-
-  Rng rng(17);
-  RequestParams rp;
-  rp.count = 260;
-  rp.duration_min = 240.0;
-  rp.penalty_factor = penalty_factor;
-  rp.seed = 23;
-  const std::vector<Request> requests =
-      GenerateRequests(graph, rp, &labels, &rng);
-  const std::vector<Worker> workers = GenerateWorkers(graph, 14, 4.0, &rng);
-
-  const PlannerConfig config;  // pruning on
-  const WorkloadRun sequential = RunOnce(graph, &labels, workers, requests,
-                                         MakePruneGreedyDpFactory(config), 1);
-  // The unpruned ablation must agree too (Lemma 8 losslessness with the
-  // shared deterministic tie-break).
-  const WorkloadRun unpruned = RunOnce(graph, &labels, workers, requests,
-                                       MakeGreedyDpFactory(config), 1);
-  ExpectIdentical(sequential, unpruned, "pruneGreedyDP vs GreedyDP");
-
-  ASSERT_GT(sequential.report.served_requests, 0);
-  if (penalty_factor < 5.0) {
-    // The rejection-heavy workload must actually exercise rejections.
-    ASSERT_LT(sequential.report.served_requests,
-              sequential.report.total_requests);
-  }
-
-  for (int threads : {1, 2, 4, 8}) {
-    const WorkloadRun parallel =
-        RunOnce(graph, &labels, workers, requests,
-                MakeParallelGreedyDpFactory(config), threads);
-    ExpectIdentical(sequential, parallel,
-                    "parallel threads=" + std::to_string(threads));
-  }
-
-  // The speculative block scan is thread-count independent, so the
-  // distance-query count of parallel runs must not depend on the pool
-  // size either.
-  const WorkloadRun p2 = RunOnce(graph, &labels, workers, requests,
-                                 MakeParallelGreedyDpFactory(config), 2);
-  const WorkloadRun p8 = RunOnce(graph, &labels, workers, requests,
-                                 MakeParallelGreedyDpFactory(config), 8);
-  EXPECT_EQ(p2.report.distance_queries, p8.report.distance_queries);
-}
-
-INSTANTIATE_TEST_SUITE_P(Workloads, ParallelPlannerDeterminismTest,
-                         ::testing::Values(10.0,   // default penalties
-                                           1.7,    // rejection-heavy
-                                           30.0),  // accept-heavy: long
-                                                   // routes, warm caches
-                         [](const ::testing::TestParamInfo<double>& info) {
-                           if (info.param < 5.0) return "RejectionHeavy";
-                           return info.param > 20.0 ? "AcceptHeavy"
-                                                    : "DefaultPenalties";
-                         });
 
 }  // namespace
 }  // namespace urpsm

@@ -198,31 +198,17 @@ TEST(SimulatorTest, MoreWorkersNeverHurtMuch) {
 TEST(ValidateSimOptionsTest, CleanOptionsPassThroughSilently) {
   SimOptions options;
   options.batch_window_s = 6.0;
-  options.pipeline = true;
   options.num_threads = 8;
   std::vector<std::string> warnings;
   const SimOptions out = ValidateSimOptions(options, &warnings);
   EXPECT_TRUE(warnings.empty());
-  EXPECT_TRUE(out.pipeline);
   EXPECT_EQ(out.num_threads, 8);
   EXPECT_EQ(out.batch_window_s, 6.0);
-}
-
-TEST(ValidateSimOptionsTest, PipelineWithoutWindowIsDisabledWithWarning) {
-  SimOptions options;
-  options.pipeline = true;  // but batch_window_s stays 0
-  std::vector<std::string> warnings;
-  const SimOptions out = ValidateSimOptions(options, &warnings);
-  EXPECT_FALSE(out.pipeline);
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("pipeline requires batch_window_s"),
-            std::string::npos);
 }
 
 TEST(ValidateSimOptionsTest, InvalidNumericsClampToNearestSane) {
   SimOptions options;
   options.batch_window_s = -3.0;
-  options.ingest_capacity = 0;
   options.num_threads = -2;
   options.wall_limit_seconds = -1.0;
   options.admission_slack_min = -5.0;
@@ -231,19 +217,18 @@ TEST(ValidateSimOptionsTest, InvalidNumericsClampToNearestSane) {
   std::vector<std::string> warnings;
   const SimOptions out = ValidateSimOptions(options, &warnings);
   EXPECT_EQ(out.batch_window_s, 0.0);
-  EXPECT_EQ(out.ingest_capacity, 1u);
   EXPECT_EQ(out.num_threads, 1);
   EXPECT_EQ(out.wall_limit_seconds, 0.0);
   EXPECT_EQ(out.admission_slack_min, 0.0);
   EXPECT_EQ(out.window_admit_budget, 0);
   EXPECT_EQ(out.metrics_snapshot_period_s, 1.0);
-  EXPECT_GE(warnings.size(), 7u);  // one message per clamp above
+  EXPECT_GE(warnings.size(), 6u);  // one message per clamp above
 }
 
 TEST(ValidateSimOptionsTest, FaultRatesAndDelaysAreClamped) {
   SimOptions options;
   options.faults.Arm(FaultSite::kOracleDelay, 1.5, -10.0);  // both invalid
-  options.faults.Arm(FaultSite::kIngestStall, -0.2, 5.0);
+  options.faults.Arm(FaultSite::kPoolTaskDelay, -0.2, 5.0);
   std::vector<std::string> warnings;
   const SimOptions out = ValidateSimOptions(options, &warnings);
   EXPECT_EQ(out.faults.site[static_cast<int>(FaultSite::kOracleDelay)].rate,
@@ -251,21 +236,21 @@ TEST(ValidateSimOptionsTest, FaultRatesAndDelaysAreClamped) {
   EXPECT_EQ(
       out.faults.site[static_cast<int>(FaultSite::kOracleDelay)].delay_us,
       0.0);
-  EXPECT_EQ(out.faults.site[static_cast<int>(FaultSite::kIngestStall)].rate,
+  EXPECT_EQ(out.faults.site[static_cast<int>(FaultSite::kPoolTaskDelay)].rate,
             0.0);
   EXPECT_GE(warnings.size(), 3u);
 }
 
 TEST(ValidateSimOptionsTest, ConstructorAppliesValidation) {
   // The constructor routes its options through ValidateSimOptions, so a
-  // degenerate configuration (pipeline without a window) still
-  // runs the windowed loop instead of crashing or silently misbehaving.
+  // degenerate configuration (a negative thread count) runs as its
+  // clamped value instead of crashing or silently misbehaving.
   SimFixture f(23, 4, 20);
   SimOptions options;
-  options.pipeline = true;  // no batch window: validation turns this off
+  options.num_threads = -4;  // validation clamps this to 1
   Simulation sim(&f.graph, &f.oracle, f.workers, &f.requests, options);
   const SimReport rep = sim.Run(MakePruneGreedyDpFactory({}));
-  EXPECT_FALSE(rep.pipeline.enabled);
+  EXPECT_EQ(rep.num_threads, 1);
   EXPECT_EQ(rep.processed_requests, rep.total_requests);
   const InvariantReport acct = CheckAccounting(rep);
   EXPECT_TRUE(acct.ok) << acct.violation;

@@ -2,10 +2,8 @@
 // pruning ablation (bench_pruning):
 //   (a) exact-reject check: re-reject on the exact Delta* instead of only
 //       the decision phase's lower bound (off in the paper);
-//   (b) LRU cache capacity for distance queries (the paper's shared
-//       cache, Sec. 6.1);
-//   (c) batch parameters: window length and group size;
-//   (d) kinetic expansion budget (how the tree blow-up is contained).
+//   (b) batch parameters: window length and group size;
+//   (c) kinetic expansion budget (how the tree blow-up is contained).
 
 #include <cstdio>
 
@@ -39,29 +37,7 @@ int main(int argc, char** argv) {
                 t.ToString().c_str());
   }
 
-  // (b) LRU cache capacity.
-  {
-    TablePrinter t({"cache entries", "inner oracle queries", "cache hits",
-                    "avg resp (ms)"});
-    for (std::size_t cap : {std::size_t{0}, std::size_t{1} << 10,
-                            std::size_t{1} << 16, std::size_t{1} << 20}) {
-      SimOptions options;
-      options.cache_capacity = cap;
-      city.labels->ResetQueryCount();
-      Simulation sim(&city.graph, city.labels.get(), workers, &city.requests,
-                     options);
-      const SimReport rep = sim.Run(MakePruneGreedyDpFactory({}));
-      t.AddRow({std::to_string(cap),
-                std::to_string(city.labels->query_count()),
-                std::to_string(rep.distance_queries -
-                               city.labels->query_count()),
-                TablePrinter::Num(rep.avg_response_ms, 3)});
-    }
-    std::printf("Ablation (b) — shared LRU distance cache (Chengdu)\n%s\n",
-                t.ToString().c_str());
-  }
-
-  // (c) batch window and group size.
+  // (b) batch window and group size.
   {
     TablePrinter t({"window (s)", "group size", "unified cost",
                     "served rate"});
@@ -77,11 +53,11 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(rep.served_rate, 3)});
       }
     }
-    std::printf("Ablation (c) — batch parameters (Chengdu)\n%s\n",
+    std::printf("Ablation (b) — batch parameters (Chengdu)\n%s\n",
                 t.ToString().c_str());
   }
 
-  // (d) kinetic expansion budget.
+  // (c) kinetic expansion budget.
   {
     TablePrinter t({"budget", "unified cost", "served rate",
                     "avg resp (ms)"});
@@ -100,7 +76,7 @@ int main(int argc, char** argv) {
                 TablePrinter::Num(rep.served_rate, 3),
                 TablePrinter::Num(rep.avg_response_ms, 3)});
     }
-    std::printf("Ablation (d) — kinetic expansion budget (Chengdu, er = 20 "
+    std::printf("Ablation (c) — kinetic expansion budget (Chengdu, er = 20 "
                 "min)\n%s\n",
                 t.ToString().c_str());
   }

@@ -25,7 +25,6 @@
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/shortest/hub_labels.h"
-#include "src/shortest/oracle.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/workload/city.h"
@@ -226,9 +225,8 @@ void BenchOracleConfigs(bool smoke, std::vector<std::string>* lines) {
 struct InsertionScenario {
   explicit InsertionScenario(int stops)
       : graph(MakeGridGraph(40, 40, 0.5)),
-        inner(&graph),
-        cached(&inner, 1 << 22),
-        ctx(&graph, &cached, &requests) {
+        labels(HubLabelOracle::Build(graph)),
+        ctx(&graph, &labels, &requests) {
     Rng rng(42);
     worker = {0, 0, 1 << 20};  // capacity never binds; n drives the cost
     route = Route(worker.initial_location, 0.0);
@@ -245,7 +243,7 @@ struct InsertionScenario {
       r.penalty = 1.0;
       requests.push_back(r);
       const InsertionCandidate c = BasicInsertion(worker, route, r, &ctx);
-      if (c.feasible()) route.Insert(r, c.i, c.j, &cached);
+      if (c.feasible()) route.Insert(r, c.i, c.j, &labels);
     }
     Request p;
     p.id = static_cast<RequestId>(requests.size());
@@ -255,13 +253,11 @@ struct InsertionScenario {
     p.deadline = 1e9;
     requests.push_back(p);
     probe = p;
-    BasicInsertion(worker, route, probe, &ctx);  // warm the distance cache
     state = BuildRouteState(route, &ctx);
   }
 
   RoadNetwork graph;
-  DijkstraOracle inner;
-  CachedOracle cached;
+  HubLabelOracle labels;
   std::vector<Request> requests;
   PlanningContext ctx;
   Worker worker;

@@ -11,22 +11,21 @@
 #include "src/graph/builders.h"
 #include "src/insertion/insertion.h"
 #include "src/model/feasibility.h"
-#include "src/shortest/oracle.h"
+#include "src/shortest/hub_labels.h"
 #include "src/util/rng.h"
 
 namespace urpsm {
 namespace {
 
 /// Shared scenario: a worker with an n-stop route on a grid city, plus a
-/// probe request. Distances come from a pre-warmed cache so the benchmark
-/// measures insertion logic, not Dijkstra.
+/// probe request. Distances come from hub labels (about 28 hubs per vertex
+/// on this grid) so the benchmark measures insertion logic, not Dijkstra.
 class InsertionScenario {
  public:
   explicit InsertionScenario(int stops)
       : graph_(MakeGridGraph(40, 40, 0.5)),
-        inner_(&graph_),
-        cached_(&inner_, 1 << 22),
-        ctx_(&graph_, &cached_, &requests_) {
+        labels_(HubLabelOracle::Build(graph_)),
+        ctx_(&graph_, &labels_, &requests_) {
     Rng rng(42);
     worker_ = {0, 0, 1 << 20};  // capacity never binds; n drives the cost
     route_ = Route(worker_.initial_location, 0.0);
@@ -44,7 +43,7 @@ class InsertionScenario {
       requests_.push_back(r);
       const InsertionCandidate c =
           BasicInsertion(worker_, route_, r, &ctx_);
-      if (c.feasible()) route_.Insert(r, c.i, c.j, &cached_);
+      if (c.feasible()) route_.Insert(r, c.i, c.j, &labels_);
     }
     Request probe;
     probe.id = static_cast<RequestId>(requests_.size());
@@ -54,8 +53,6 @@ class InsertionScenario {
     probe.deadline = 1e9;
     requests_.push_back(probe);
     probe_ = probe;
-    // Warm every distance the operators can touch.
-    BasicInsertion(worker_, route_, probe_, &ctx_);
     state_ = BuildRouteState(route_, &ctx_);
   }
 
@@ -67,8 +64,7 @@ class InsertionScenario {
 
  private:
   RoadNetwork graph_;
-  DijkstraOracle inner_;
-  CachedOracle cached_;
+  HubLabelOracle labels_;
   std::vector<Request> requests_;
   PlanningContext ctx_;
   Worker worker_;

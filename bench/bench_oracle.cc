@@ -1,18 +1,16 @@
 // Microbenchmark of the shortest-distance substrate: Dijkstra vs
-// bidirectional Dijkstra vs hub labels vs the LRU-cached hub labels the
-// simulations actually use. Hub labels are the paper's O(1)-ish query
+// bidirectional Dijkstra vs hub labels (what the simulations query) vs the
+// contraction-hierarchy query. Hub labels are the paper's O(1)-ish query
 // assumption [9]; this shows why that assumption is reasonable.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
-#include "src/shortest/alt.h"
 #include "src/shortest/bidijkstra.h"
 #include "src/shortest/dijkstra.h"
 #include "src/shortest/contraction.h"
 #include "src/shortest/hub_labels.h"
-#include "src/shortest/oracle.h"
 #include "src/util/rng.h"
 #include "src/workload/city.h"
 
@@ -24,12 +22,10 @@ struct OracleFixture {
     labels = std::make_unique<HubLabelOracle>(HubLabelOracle::Build(graph));
     ch = std::make_unique<ContractionHierarchy>(
         ContractionHierarchy::Build(graph));
-    alt = std::make_unique<AltOracle>(AltOracle::Build(graph, 8));
   }
   RoadNetwork graph;
   std::unique_ptr<HubLabelOracle> labels;
   std::unique_ptr<ContractionHierarchy> ch;
-  std::unique_ptr<AltOracle> alt;
 };
 
 OracleFixture& Fixture() {
@@ -104,23 +100,6 @@ void BM_HubLabelsPointGather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ns * 2);
 }
 
-void BM_CachedHubLabels(benchmark::State& state) {
-  auto& f = Fixture();
-  CachedOracle cached(f.labels.get(), 1 << 20);
-  Rng rng(1);
-  // Zipf-ish reuse: a small hot set, as route planning produces.
-  std::vector<std::pair<VertexId, VertexId>> hot;
-  for (int i = 0; i < 64; ++i) {
-    hot.push_back({rng.UniformInt(0, f.graph.num_vertices() - 1),
-                   rng.UniformInt(0, f.graph.num_vertices() - 1)});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [s, t] = hot[i++ & 63];
-    benchmark::DoNotOptimize(cached.Distance(s, t));
-  }
-}
-
 void BM_ContractionHierarchy(benchmark::State& state) {
   auto& f = Fixture();
   Rng rng(1);
@@ -131,24 +110,12 @@ void BM_ContractionHierarchy(benchmark::State& state) {
   }
 }
 
-void BM_AltOracle(benchmark::State& state) {
-  auto& f = Fixture();
-  Rng rng(1);
-  for (auto _ : state) {
-    const VertexId s = rng.UniformInt(0, f.graph.num_vertices() - 1);
-    const VertexId t = rng.UniformInt(0, f.graph.num_vertices() - 1);
-    benchmark::DoNotOptimize(f.alt->Distance(s, t));
-  }
-}
-
 BENCHMARK(BM_Dijkstra);
 BENCHMARK(BM_BidirectionalDijkstra);
 BENCHMARK(BM_HubLabels);
 BENCHMARK(BM_HubLabelsBatchGather)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_HubLabelsPointGather)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_ContractionHierarchy);
-BENCHMARK(BM_AltOracle);
-BENCHMARK(BM_CachedHubLabels);
 
 }  // namespace
 }  // namespace urpsm

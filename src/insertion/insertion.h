@@ -13,9 +13,9 @@ namespace urpsm {
 ///   to_origin[k]      = dis(l_k, o_r)
 ///   to_destination[k] = dis(l_k, d_r)
 /// Gathered once per (route, request) before the i/j insertion scan so the
-/// operators index a flat column instead of calling the (locked) shared
-/// distance cache per slot. The road network is undirected, so one column
-/// serves both directions of every detour term.
+/// operators index a flat column instead of calling the distance oracle
+/// per slot. The road network is undirected, so one column serves both
+/// directions of every detour term.
 struct DistanceColumns {
   std::vector<double> to_origin;
   std::vector<double> to_destination;
@@ -61,8 +61,8 @@ inline int InsertionCutoff(const RouteState& st, const Request& r) {
 /// concatenated route positions up to each route's max_pos[c], targets are
 /// {o_r, d_r}. Cell values and the billed query count are identical to
 /// gathering each route separately via GatherDistanceColumns; only the
-/// order in which the shared cache sees the pairs changes. `cols` is
-/// resized to routes.size(); per-candidate columns reuse their capacity.
+/// order in which the oracle sees the pairs changes. `cols` is resized to
+/// routes.size(); per-candidate columns reuse their capacity.
 void GatherDistanceColumnsMulti(const std::vector<const Route*>& routes,
                                 const std::vector<int>& max_pos,
                                 const Request& r, PlanningContext* ctx,

@@ -3,12 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/graph/road_network.h"
-#include "src/util/sharded_lru_cache.h"
 
 namespace urpsm {
 
@@ -22,9 +19,10 @@ class Registry;
 ///
 /// The paper assumes a shortest-distance query takes O(1) (or O(q)) time and
 /// answers them with a hub-based labeling plus a shared LRU cache
-/// (Sec. 6.1). All algorithms in this library talk to this interface, and
-/// the number of `Distance` calls is the "distance query" count reported by
-/// the pruning experiments (Figs. 3 and 6).
+/// (Sec. 6.1); this library queries the labels directly, without the cache.
+/// All algorithms in this library talk to this interface, and the number of
+/// `Distance` calls is the "distance query" count reported by the pruning
+/// experiments (Figs. 3 and 6).
 ///
 /// Thread-safety contract (relied on by the parallel dispatch engine):
 /// `Distance` must be safe to call concurrently. Every oracle bundled here
@@ -98,59 +96,37 @@ class DijkstraOracle : public DistanceOracle {
   const RoadNetwork* graph_;
 };
 
-/// Decorator adding the paper's shared LRU cache on top of any oracle.
-/// Cache hits do not count as queries of the inner oracle but do count as
-/// queries of this oracle (the paper's "saved queries" metric counts calls
-/// that never happen at all thanks to pruning, not cache hits).
-///
-/// The cache is sharded with striped locks, so concurrent `Distance` calls
-/// from the parallel planner only serialize when they collide on a shard.
-/// Two threads racing on the same cold key may both consult the inner
-/// oracle; both obtain the same exact value, so results are unaffected.
-class CachedOracle : public DistanceOracle {
+/// Pass-through wrapper that bills one simulation run's queries. `inner`
+/// is borrowed, not owned, and reused across runs (labels are built once),
+/// so its own counter cannot bill a single run; a fresh wrapper per run
+/// counts every call once and forwards it unchanged. It keeps no cache: a
+/// hub-label lookup costs less than a probe of the paper's shared LRU
+/// (README, "Performance").
+class BillingOracle : public DistanceOracle {
  public:
-  /// `inner` is borrowed, not owned: oracles (hub labels in particular)
-  /// are built once and shared across many simulation runs.
-  CachedOracle(DistanceOracle* inner, std::size_t capacity)
-      : inner_(inner), cache_(capacity) {}
+  explicit BillingOracle(DistanceOracle* inner) : inner_(inner) {}
 
   double Distance(VertexId u, VertexId v) override;
   std::vector<VertexId> Path(VertexId u, VertexId v) override;
 
-  /// Batched sweep through the cache: hits are served from the cache, the
-  /// misses of each target column are forwarded to the inner oracle as one
-  /// (deduplicated) BatchQuery, and results are inserted back. Cell values
-  /// and billed query counts are identical to per-pair Distance calls; only
-  /// the cache's LRU touch order differs.
+  /// Bills sources x targets queries and forwards to the inner oracle's
+  /// own BatchQuery, so label-based oracles keep their batched sweep.
   void BatchQuery(const std::vector<VertexId>& sources,
                   const std::vector<VertexId>& targets,
                   std::vector<double>* out) override;
 
-  std::int64_t cache_hits() const { return cache_.hits(); }
-  std::int64_t cache_misses() const { return cache_.misses(); }
-
-  /// Registers pull-model gauges (oracle.queries / oracle.cache_hits /
-  /// oracle.cache_misses / oracle.cache_hit_rate) on `reg`. The oracle
+  /// Registers the pull-model gauge oracle.queries on `reg`. The oracle
   /// must outlive the registry's last Snapshot (or the gauges must be
   /// frozen first). No-op when reg is null or disabled.
   void RegisterMetrics(obs::Registry* reg);
 
-  /// Arms the kOracleDelay fault site on this oracle's Distance path
-  /// (timing-only; query counts and results are untouched). nullptr (the
-  /// default) costs one branch per call.
+  /// Arms the kOracleDelay fault site on this oracle's Distance and
+  /// BatchQuery paths (timing-only; query counts and results are
+  /// untouched). nullptr (the default) costs one branch per call.
   void set_faults(FaultInjector* faults) { faults_ = faults; }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const std::pair<VertexId, VertexId>& k) const {
-      return std::hash<std::int64_t>()(
-          (static_cast<std::int64_t>(k.first) << 32) |
-          static_cast<std::uint32_t>(k.second));
-    }
-  };
-
   DistanceOracle* inner_;
-  ShardedLruCache<std::pair<VertexId, VertexId>, double, KeyHash> cache_;
   FaultInjector* faults_ = nullptr;
 };
 

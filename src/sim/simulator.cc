@@ -1,7 +1,6 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -117,8 +116,17 @@ Simulation::Simulation(const RoadNetwork* graph, DistanceOracle* oracle,
       workers_(std::move(workers)),
       requests_(requests),
       options_(ValidateSimOptions(std::move(options))) {
+  // Both event loops consume the table in order, and LoadInstance does
+  // not sort it: an out-of-order request would be planned against a fleet
+  // already advanced past its release. Validated unconditionally, like
+  // the ids below.
   for (std::size_t i = 0; i + 1 < requests_->size(); ++i) {
-    assert((*requests_)[i].release_time <= (*requests_)[i + 1].release_time);
+    if (!((*requests_)[i].release_time <= (*requests_)[i + 1].release_time)) {
+      std::fprintf(stderr,
+                   "Simulation: request %d released before request %d\n",
+                   (*requests_)[i + 1].id, (*requests_)[i].id);
+      std::abort();
+    }
   }
   // Ids must be unique and valid; they are resolved through an id->index
   // map downstream, so they need not be dense. Validated unconditionally
@@ -148,7 +156,7 @@ bool Simulation::request_served(RequestId id) const {
 }
 
 SimReport Simulation::Run(const PlannerFactory& factory) {
-  cached_ = std::make_unique<CachedOracle>(oracle_, options_.cache_capacity);
+  billing_ = std::make_unique<BillingOracle>(oracle_);
   pool_ = options_.num_threads > 1
               ? std::make_unique<ThreadPool>(options_.num_threads)
               : nullptr;
@@ -158,14 +166,14 @@ SimReport Simulation::Run(const PlannerFactory& factory) {
   faults_ = options_.faults.enabled
                 ? std::make_unique<FaultInjector>(options_.faults)
                 : nullptr;
-  PlanningContext ctx(graph_, cached_.get(), requests_);
+  PlanningContext ctx(graph_, billing_.get(), requests_);
   ctx.set_thread_pool(pool_.get());
   ctx.set_metrics(registry_.get());
   ctx.set_tracer(tracer_.get());
   // Components fetch instruments up front; planner construction (below)
   // registers the planner-side ones through the context.
-  cached_->RegisterMetrics(registry_.get());
-  cached_->set_faults(faults_.get());
+  billing_->RegisterMetrics(registry_.get());
+  billing_->set_faults(faults_.get());
   if (pool_ != nullptr) {
     pool_->RegisterMetrics(registry_.get());
     pool_->set_faults(faults_.get());
@@ -250,7 +258,7 @@ SimReport Simulation::Run(const PlannerFactory& factory) {
   report.p95_response_ms = response_ms.Percentile(95);
   report.p99_response_ms = response_ms.Percentile(99);
   report.max_response_ms = response_ms.max();
-  report.distance_queries = cached_->query_count();
+  report.distance_queries = billing_->query_count();
   report.index_memory_bytes = planner->index_memory_bytes();
   report.wall_seconds = SecondsSince(t0);
   registry_->StopPeriodicExport();

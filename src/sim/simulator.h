@@ -35,8 +35,6 @@ struct SimOptions {
   /// Abort when cumulative planning wall time exceeds this (seconds);
   /// mirrors the paper's 10/20-hour kill switch under which kinetic DNFs.
   double wall_limit_seconds = 1e18;
-  /// Shared LRU cache capacity for distance queries (0 disables).
-  std::size_t cache_capacity = 1 << 20;
   /// Threads available to the parallel dispatch engine
   /// (DispatchWindowPlanner), which fans one window's per-request
   /// planning and its footprint commits across them. 1 keeps the run
@@ -134,7 +132,8 @@ class Simulation {
   /// `requests` must be sorted by release time (ascending), and ids must
   /// be unique and non-negative — they need NOT be the dense positions
   /// 0..n-1 (gappy id spaces from trace extracts are fine; everything
-  /// downstream resolves ids through an id->index map).
+  /// downstream resolves ids through an id->index map). Both are checked
+  /// in every build: a violation prints a message and aborts.
   Simulation(const RoadNetwork* graph, DistanceOracle* oracle,
              std::vector<Worker> workers, const std::vector<Request>* requests,
              SimOptions options);
@@ -164,7 +163,8 @@ class Simulation {
   std::vector<Worker> workers_;
   const std::vector<Request>* requests_;
   SimOptions options_;
-  std::unique_ptr<CachedOracle> cached_;
+  // Bills this run's queries to the borrowed oracle_ (recreated per Run).
+  std::unique_ptr<BillingOracle> billing_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Fleet> fleet_;
   // Observability of the current run (recreated per Run): the metrics
@@ -173,7 +173,7 @@ class Simulation {
   std::unique_ptr<obs::Registry> registry_;
   std::unique_ptr<obs::TraceRecorder> tracer_;
   /// Fault injector of the run (null unless SimOptions::faults.enabled) —
-  /// wired into CachedOracle and ThreadPool like the obs instruments, and
+  /// wired into BillingOracle and ThreadPool like the obs instruments, and
   /// read by RunWindowed for the drain trigger.
   std::unique_ptr<FaultInjector> faults_;
   std::vector<bool> served_;

@@ -12,7 +12,7 @@ namespace urpsm {
 /// field must survive any schedule (the fault suite's core assertion).
 /// The drain trigger instead moves a simulated-time cutoff.
 enum class FaultSite : int {
-  kOracleDelay = 0,   // distance-query latency in CachedOracle::Distance
+  kOracleDelay = 0,   // query latency in BillingOracle::{Distance,BatchQuery}
   kPoolTaskDelay = 1, // thread-pool chunk execution delay
   kDrainTrigger = 2,  // mid-run graceful drain at a seed-derived instant
 };

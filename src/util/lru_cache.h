@@ -12,11 +12,12 @@ namespace urpsm {
 
 /// A fixed-capacity least-recently-used cache.
 ///
-/// The paper (Sec. 6.1) maintains an LRU cache for shortest distance and
-/// path queries shared by all compared algorithms; this is that cache.
-/// `Get` promotes the entry to most-recently-used. Not thread-safe on its
-/// own; concurrent callers go through ShardedLruCache, which stripes
-/// instances of this type behind per-shard locks.
+/// The paper (Sec. 6.1) keeps an LRU cache for shortest distance and path
+/// queries shared by all compared algorithms. This reproduction queries
+/// the hub labels directly instead (see README, "No shared distance
+/// cache"), so nothing in `src/` uses this type any more; its deletion is
+/// an open ROADMAP item. `Get` promotes the entry to most-recently-used.
+/// Not thread-safe.
 template <typename K, typename V, typename Hash = std::hash<K>>
 class LruCache {
  public:

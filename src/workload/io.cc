@@ -52,6 +52,12 @@ bool LoadInstance(const std::string& path, Instance* result) {
   for (Point& p : coords) {
     if (!(in >> p.x >> p.y)) return false;
   }
+  // Every id below indexes per-vertex arrays (the adjacency offsets, the
+  // labels) unchecked, so an out-of-range one is rejected here, in every
+  // build.
+  const auto valid = [n](VertexId v) {
+    return v >= 0 && static_cast<std::size_t>(v) < n;
+  };
 
   std::size_t m = 0;
   if (!(in >> tag >> m) || tag != "edges") return false;
@@ -59,7 +65,7 @@ bool LoadInstance(const std::string& path, Instance* result) {
   for (EdgeSpec& e : edges) {
     int cls = 0;
     if (!(in >> e.u >> e.v >> e.length_km >> cls)) return false;
-    if (cls < 0 || cls > 3) return false;
+    if (!valid(e.u) || !valid(e.v) || cls < 0 || cls > 3) return false;
     e.cls = static_cast<RoadClass>(cls);
   }
   inst.graph = RoadNetwork::FromEdges(std::move(coords), edges);
@@ -70,7 +76,10 @@ bool LoadInstance(const std::string& path, Instance* result) {
   for (std::size_t i = 0; i < k; ++i) {
     Worker& w = inst.workers[i];
     w.id = static_cast<WorkerId>(i);
-    if (!(in >> w.initial_location >> w.capacity)) return false;
+    if (!(in >> w.initial_location >> w.capacity) ||
+        !valid(w.initial_location)) {
+      return false;
+    }
   }
 
   std::size_t q = 0;
@@ -80,7 +89,8 @@ bool LoadInstance(const std::string& path, Instance* result) {
     Request& r = inst.requests[i];
     r.id = static_cast<RequestId>(i);
     if (!(in >> r.origin >> r.destination >> r.release_time >> r.deadline >>
-          r.penalty >> r.capacity)) {
+          r.penalty >> r.capacity) ||
+        !valid(r.origin) || !valid(r.destination)) {
       return false;
     }
   }

@@ -25,7 +25,9 @@ namespace urpsm {
 bool SaveInstance(const Instance& instance, const std::string& path);
 
 /// Loads an instance; returns false (and leaves `out` untouched) on parse
-/// or I/O failure.
+/// or I/O failure, or when an edge endpoint, worker start or request
+/// endpoint is not a vertex id in [0, vertices). Requests are kept in file
+/// order: Simulation requires them sorted by release time.
 bool LoadInstance(const std::string& path, Instance* out);
 
 }  // namespace urpsm

@@ -17,7 +17,11 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/urpsm_io_test.inst";
+  // One file per test: ctest runs the cases as parallel processes.
+  std::string path_ =
+      ::testing::TempDir() + "/urpsm_io_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".inst";
 };
 
 Instance SmallInstance() {
@@ -115,6 +119,46 @@ TEST_F(IoTest, LoadRejectsTruncatedFile) {
 TEST_F(IoTest, LoadRejectsBadRoadClass) {
   std::ofstream(path_) << "urpsm-instance v1\nname x\nvertices 2\n0 0\n1 0\n"
                        << "edges 1\n0 1 1.0 9\nworkers 0\nrequests 0\n";
+  Instance out;
+  EXPECT_FALSE(LoadInstance(path_, &out));
+}
+
+// A two-vertex instance with one edge, one worker and one request; each
+// id is spliced in so one test can move a single endpoint out of range.
+std::string TwoVertexInstance(const std::string& edge,
+                              const std::string& worker,
+                              const std::string& request) {
+  return "urpsm-instance v1\nname x\nvertices 2\n0 0\n1 0\nedges 1\n" +
+         edge + "\nworkers 1\n" + worker + "\nrequests 1\n" + request +
+         "\n";
+}
+
+TEST_F(IoTest, LoadAcceptsEveryVertexIdInRange) {
+  std::ofstream(path_) << TwoVertexInstance("0 1 1.0 0", "1 4",
+                                            "1 0 0 30 5 1");
+  Instance out;
+  ASSERT_TRUE(LoadInstance(path_, &out));
+  EXPECT_EQ(out.workers[0].initial_location, 1);
+  EXPECT_EQ(out.requests[0].origin, 1);
+}
+
+TEST_F(IoTest, LoadRejectsOutOfRangeEdgeVertex) {
+  std::ofstream(path_) << TwoVertexInstance("0 7 1.0 0", "1 4",
+                                            "1 0 0 30 5 1");
+  Instance out;
+  EXPECT_FALSE(LoadInstance(path_, &out));
+}
+
+TEST_F(IoTest, LoadRejectsOutOfRangeWorkerVertex) {
+  std::ofstream(path_) << TwoVertexInstance("0 1 1.0 0", "2 4",
+                                            "1 0 0 30 5 1");
+  Instance out;
+  EXPECT_FALSE(LoadInstance(path_, &out));
+}
+
+TEST_F(IoTest, LoadRejectsOutOfRangeRequestVertex) {
+  std::ofstream(path_) << TwoVertexInstance("0 1 1.0 0", "1 4",
+                                            "1 -1 0 30 5 1");
   Instance out;
   EXPECT_FALSE(LoadInstance(path_, &out));
 }

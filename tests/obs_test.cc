@@ -484,9 +484,8 @@ TEST(ObsTraceTest, WindowedSmokeRunEmitsValidChromeTrace) {
   EXPECT_GE(rep.metrics.at("engine.windows"), 1.0);
   EXPECT_EQ(rep.metrics.at("admission.admitted"),
             static_cast<double>(requests.size()));
-  const double hit_rate = rep.metrics.at("oracle.cache_hit_rate");
-  EXPECT_GE(hit_rate, 0.0);
-  EXPECT_LE(hit_rate, 1.0);
+  EXPECT_EQ(rep.metrics.at("oracle.queries"),
+            static_cast<double>(rep.distance_queries));
   EXPECT_EQ(rep.metrics.at("pool.threads"), 4.0);
 
   // --- the flushed trace file ---
@@ -610,9 +609,10 @@ TEST(ObsSimReportTest, ZeroRequestRunHasFiniteRatios) {
   EXPECT_EQ(rep.avg_response_ms, 0.0);
   EXPECT_EQ(rep.p99_response_ms, 0.0);
   ExpectFiniteReport(rep);
-  // The oracle hit-rate callback gauge guards its 0/0 too.
-  ASSERT_EQ(rep.metrics.count("oracle.cache_hit_rate"), 1u);
-  EXPECT_EQ(rep.metrics.at("oracle.cache_hit_rate"), 0.0);
+  // The oracle's query gauge is registered and reads 0 on the empty day.
+  ASSERT_EQ(rep.metrics.count("oracle.queries"), 1u);
+  EXPECT_EQ(rep.metrics.at("oracle.queries"), 0.0);
+  EXPECT_EQ(rep.distance_queries, 0);
 }
 
 TEST(ObsSimReportTest, TimedOutWindowedRunHasFiniteRatios) {

@@ -1,7 +1,7 @@
 // Tests for the continental-scale oracle work: the CH contraction order
 // the hub labels are built in, label edge cases (all-zero edge costs) and
 // memory bookkeeping, and the batched multi-source BatchQuery sweep
-// through HubLabelOracle / CachedOracle / GatherDistanceColumns, up to a
+// through HubLabelOracle / BillingOracle / GatherDistanceColumns, up to a
 // full simulation on the unpruned planner's multi-route gather.
 
 #include <cmath>
@@ -183,14 +183,14 @@ TEST(OracleBatchQueryTest, EmptySetsAreSafe) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(OracleBatchQueryTest, CachedOracleBatchMatchesAndBills) {
+TEST(OracleBatchQueryTest, BillingOracleBatchMatchesAndBills) {
   Rng grng(44);
   const RoadNetwork g = MakeRandomGeometricGraph(150, 11.0, 4, &grng);
   HubLabelOracle labels = HubLabelOracle::Build(g);
   Rng rng(21);
   for (int round = 0; round < 2; ++round) {
-    CachedOracle cached(&labels, 4096);
-    CachedOracle reference(&labels, 4096);
+    BillingOracle billing(&labels);
+    BillingOracle reference(&labels);
     for (int trial = 0; trial < 20; ++trial) {
       const int ns = rng.UniformInt(1, 8);
       const int nt = rng.UniformInt(1, 3);
@@ -201,9 +201,8 @@ TEST(OracleBatchQueryTest, CachedOracleBatchMatchesAndBills) {
       for (int j = 0; j < nt; ++j) {
         targets.push_back(rng.UniformInt(0, g.num_vertices() - 1));
       }
-      if (trial % 2 == 0 && ns > 2) sources[2] = sources[0];  // dup miss
       std::vector<double> out;
-      cached.BatchQuery(sources, targets, &out);
+      billing.BatchQuery(sources, targets, &out);
       for (int i = 0; i < ns; ++i) {
         for (int j = 0; j < nt; ++j) {
           EXPECT_EQ(out[static_cast<std::size_t>(i * nt + j)],
@@ -212,20 +211,20 @@ TEST(OracleBatchQueryTest, CachedOracleBatchMatchesAndBills) {
         }
       }
       // Billing parity: the batch bills every cell, like per-pair calls.
-      EXPECT_EQ(cached.query_count(), reference.query_count());
+      EXPECT_EQ(billing.query_count(), reference.query_count());
     }
   }
 }
 
 TEST(OracleBatchQueryTest, GatherColumnsMatchReferenceFuzz) {
   // Fuzz-pin GatherDistanceColumns (batched sweep) against the original
-  // per-pair loop, over random routes and requests, through a CachedOracle
+  // per-pair loop, over random routes and requests, through a BillingOracle
   // on hub labels — values bit-identical AND the same billed query count.
   Rng grng(52);
   TestEnv env(MakeRandomGeometricGraph(120, 10.0, 4, &grng));
   HubLabelOracle labels = HubLabelOracle::Build(env.graph());
-  CachedOracle cached(&labels, 4096);
-  PlanningContext ctx(&env.graph(), &cached, &env.requests());
+  BillingOracle billing(&labels);
+  PlanningContext ctx(&env.graph(), &billing, &env.requests());
 
   Rng rng(67);
   Worker w;
@@ -240,12 +239,12 @@ TEST(OracleBatchQueryTest, GatherColumnsMatchReferenceFuzz) {
     const Request r = env.AddRequest(o, d, 0.0, 120.0);
     for (int max_pos = 0; max_pos <= route.size(); ++max_pos) {
       DistanceColumns got, want;
-      const std::int64_t before_got = cached.query_count();
+      const std::int64_t before_got = billing.query_count();
       GatherDistanceColumns(route, r, &ctx, &got, max_pos);
-      const std::int64_t got_queries = cached.query_count() - before_got;
+      const std::int64_t got_queries = billing.query_count() - before_got;
       GatherDistanceColumnsReference(route, r, &ctx, &want, max_pos);
       const std::int64_t want_queries =
-          cached.query_count() - before_got - got_queries;
+          billing.query_count() - before_got - got_queries;
       EXPECT_EQ(got_queries, want_queries);
       ASSERT_EQ(got.to_origin.size(), want.to_origin.size());
       for (std::size_t k = 0; k < want.to_origin.size(); ++k) {
@@ -260,8 +259,8 @@ TEST(OracleBatchQueryTest, MultiRouteGatherMatchesPerRoute) {
   Rng grng(58);
   TestEnv env(MakeRandomGeometricGraph(120, 10.0, 4, &grng));
   HubLabelOracle labels = HubLabelOracle::Build(env.graph());
-  CachedOracle cached(&labels, 4096);
-  PlanningContext ctx(&env.graph(), &cached, &env.requests());
+  BillingOracle billing(&labels);
+  PlanningContext ctx(&env.graph(), &billing, &env.requests());
 
   Rng rng(71);
   std::vector<Route> routes;
@@ -285,16 +284,16 @@ TEST(OracleBatchQueryTest, MultiRouteGatherMatchesPerRoute) {
     max_pos.push_back(route.size());
   }
   std::vector<DistanceColumns> multi;
-  const std::int64_t before = cached.query_count();
+  const std::int64_t before = billing.query_count();
   GatherDistanceColumnsMulti(route_ptrs, max_pos, r, &ctx, &multi);
-  const std::int64_t multi_queries = cached.query_count() - before;
+  const std::int64_t multi_queries = billing.query_count() - before;
 
   std::int64_t per_route_queries = 0;
   for (std::size_t c = 0; c < routes.size(); ++c) {
     DistanceColumns want;
-    const std::int64_t b = cached.query_count();
+    const std::int64_t b = billing.query_count();
     GatherDistanceColumns(routes[c], r, &ctx, &want, max_pos[c]);
-    per_route_queries += cached.query_count() - b;
+    per_route_queries += billing.query_count() - b;
     ASSERT_EQ(multi[c].to_origin.size(), want.to_origin.size());
     for (std::size_t k = 0; k < want.to_origin.size(); ++k) {
       EXPECT_EQ(multi[c].to_origin[k], want.to_origin[k]);

@@ -1,6 +1,6 @@
 // Tests for the parallel building blocks of the dispatch engine:
-// ThreadPool/ParallelFor, ShardedLruCache and the concurrent
-// CachedOracle path.
+// ThreadPool/ParallelFor and the concurrent BillingOracle path over
+// Dijkstra and over hub labels.
 
 #include <atomic>
 #include <cstdint>
@@ -10,8 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "src/parallel/thread_pool.h"
+#include "src/shortest/hub_labels.h"
 #include "src/shortest/oracle.h"
-#include "src/util/sharded_lru_cache.h"
 #include "src/workload/city.h"
 
 namespace urpsm {
@@ -102,90 +102,17 @@ TEST(ThreadPoolTest, ParallelMapReturnsPerIndexValues) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(squares[static_cast<std::size_t>(i)], i * i);
 }
 
-// ---------------------------------------------------------- ShardedLruCache
-
-TEST(ShardedLruCacheTest, PutGetAndCounters) {
-  ShardedLruCache<int, int> cache(64, 4);
-  EXPECT_EQ(cache.num_shards(), 4u);
-  EXPECT_FALSE(cache.Get(1).has_value());
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  ASSERT_TRUE(cache.Get(1).has_value());
-  EXPECT_EQ(*cache.Get(1), 10);
-  EXPECT_EQ(*cache.Get(2), 20);
-  EXPECT_EQ(cache.hits(), 3);
-  EXPECT_EQ(cache.misses(), 1);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Get(1).has_value());
-}
-
-TEST(ShardedLruCacheTest, ShardCountRoundsUpToPowerOfTwo) {
-  ShardedLruCache<int, int> cache(100, 5);
-  EXPECT_EQ(cache.num_shards(), 8u);
-  ShardedLruCache<int, int> one(100, 1);
-  EXPECT_EQ(one.num_shards(), 1u);
-  one.Put(3, 33);
-  EXPECT_EQ(*one.Get(3), 33);
-}
-
-TEST(ShardedLruCacheTest, EvictionKeepsSizeBounded) {
-  // Per-shard capacity is ceil(64/4) = 16, so the total never exceeds 64
-  // no matter how the keys hash.
-  ShardedLruCache<int, int> cache(64, 4);
-  for (int k = 0; k < 10000; ++k) cache.Put(k, k);
-  EXPECT_LE(cache.size(), 64u);
-  EXPECT_GT(cache.size(), 0u);
-}
-
-TEST(ShardedLruCacheTest, ZeroCapacityDisablesCaching) {
-  ShardedLruCache<int, int> cache(0, 8);
-  cache.Put(1, 10);
-  EXPECT_FALSE(cache.Get(1).has_value());
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ShardedLruCacheTest, ConcurrentHammerNeverReturnsWrongValue) {
-  ShardedLruCache<int, std::int64_t> cache(256, 8);
-  constexpr int kThreads = 8, kOps = 20000, kKeys = 512;
-  std::atomic<bool> corrupt{false};
-  std::atomic<std::int64_t> gets{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::uint64_t state = 0x9e3779b97f4a7c15ULL * (t + 1);
-      for (int op = 0; op < kOps; ++op) {
-        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        const int key = static_cast<int>(state >> 33) % kKeys;
-        if ((state & 1) != 0u) {
-          cache.Put(key, static_cast<std::int64_t>(key) * 3);
-        } else {
-          gets.fetch_add(1);
-          if (auto hit = cache.Get(key)) {
-            if (*hit != static_cast<std::int64_t>(key) * 3) corrupt.store(true);
-          }
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(corrupt.load());
-  EXPECT_LE(cache.size(), 256u);
-  // Every Get is counted as exactly one hit or one miss, even under
-  // contention.
-  EXPECT_EQ(cache.hits() + cache.misses(), gets.load());
-}
-
 // ----------------------------------------------------- concurrent oracle
 
-TEST(CachedOracleConcurrencyTest, ConcurrentDistancesMatchSequential) {
-  const RoadNetwork graph = MakeCity({12, 12, 0.3, 4, 12, 0.1, 0.02, 5});
-  DijkstraOracle inner(&graph);
-  CachedOracle cached(&inner, 1 << 12);
-
-  // Ground truth from an independent sequential oracle.
-  DijkstraOracle truth(&graph);
+// 8 threads query the same pairs through one BillingOracle over `inner`:
+// every value must be bit-identical to a sequential pass over `inner`
+// before the threads start, and every top-level call is billed exactly
+// once, concurrency or not. With `batched`, odd threads send each pair as
+// a 1x1 BatchQuery, the call shape of the windowed engine's concurrent
+// gathers.
+void ExpectConcurrentQueriesMatchSequential(const RoadNetwork& graph,
+                                            DistanceOracle* inner,
+                                            bool batched) {
   const int n = graph.num_vertices();
   constexpr int kThreads = 8, kPairs = 400;
   std::vector<std::pair<VertexId, VertexId>> pairs;
@@ -198,34 +125,52 @@ TEST(CachedOracleConcurrencyTest, ConcurrentDistancesMatchSequential) {
     const auto v = static_cast<VertexId>((state >> 33) % static_cast<std::uint64_t>(n));
     pairs.emplace_back(u, v);
   }
+  std::vector<double> expect;
+  for (const auto& [u, v] : pairs) expect.push_back(inner->Distance(u, v));
+  inner->ResetQueryCount();
 
-  std::atomic<bool> mismatch{false};
+  BillingOracle billing(inner);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   std::vector<std::vector<double>> got(kThreads,
                                        std::vector<double>(kPairs, -1.0));
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      std::vector<VertexId> source(1), target(1);
+      std::vector<double> cell;
       for (int i = 0; i < kPairs; ++i) {
-        got[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)] =
-            cached.Distance(pairs[static_cast<std::size_t>(i)].first,
-                            pairs[static_cast<std::size_t>(i)].second);
+        const auto& [u, v] = pairs[static_cast<std::size_t>(i)];
+        double& out = got[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
+        if (batched && t % 2 == 1) {
+          source[0] = u;
+          target[0] = v;
+          billing.BatchQuery(source, target, &cell);
+          out = cell[0];
+        } else {
+          out = billing.Distance(u, v);
+        }
       }
     });
   }
   for (auto& th : threads) th.join();
-  for (int i = 0; i < kPairs; ++i) {
-    const double expect = truth.Distance(pairs[static_cast<std::size_t>(i)].first,
-                                         pairs[static_cast<std::size_t>(i)].second);
-    for (int t = 0; t < kThreads; ++t) {
-      if (got[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)] != expect) {
-        mismatch.store(true);
-      }
-    }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)], expect) << "thread " << t;
   }
-  EXPECT_FALSE(mismatch.load());
-  // Every top-level call is counted exactly once, concurrency or not.
-  EXPECT_EQ(cached.query_count(), static_cast<std::int64_t>(kThreads) * kPairs);
+  EXPECT_EQ(billing.query_count(), static_cast<std::int64_t>(kThreads) * kPairs);
+  // Nothing is answered on the side: the inner oracle saw every call.
+  EXPECT_EQ(inner->query_count(), billing.query_count());
+}
+
+TEST(BillingOracleConcurrencyTest, ConcurrentDistancesMatchSequential) {
+  const RoadNetwork graph = MakeCity({12, 12, 0.3, 4, 12, 0.1, 0.02, 5});
+  DijkstraOracle inner(&graph);
+  ExpectConcurrentQueriesMatchSequential(graph, &inner, /*batched=*/false);
+}
+
+TEST(BillingOracleConcurrencyTest, ConcurrentLabelQueriesMatchSequential) {
+  const RoadNetwork graph = MakeCity({12, 12, 0.3, 4, 12, 0.1, 0.02, 5});
+  HubLabelOracle labels = HubLabelOracle::Build(graph);
+  ExpectConcurrentQueriesMatchSequential(graph, &labels, /*batched=*/true);
 }
 
 }  // namespace

@@ -139,36 +139,29 @@ TEST(HubLabelsTest, PathFallbackIsExact) {
   EXPECT_EQ(path.back(), 15);
 }
 
-TEST(CachedOracleTest, CountsQueriesAndCachesSymmetrically) {
+TEST(BillingOracleTest, ForwardsEveryCallAndBillsOnce) {
+  // No cache and no short-circuit: every call reaches the inner oracle,
+  // u == v and repeated pairs included, so the inner count equals the
+  // billed count exactly.
   const RoadNetwork g = MakeGridGraph(6, 6, 1.0);
-  DijkstraOracle inner(&g);
-  CachedOracle cached(&inner, 128);
-  const double d1 = cached.Distance(0, 35);
-  const double d2 = cached.Distance(35, 0);  // symmetric key -> cache hit
-  EXPECT_DOUBLE_EQ(d1, d2);
-  EXPECT_EQ(cached.query_count(), 2);
-  EXPECT_EQ(inner.query_count(), 1);
-  EXPECT_EQ(cached.cache_hits(), 1);
-}
+  HubLabelOracle inner = HubLabelOracle::Build(g);
+  BillingOracle billing(&inner);
+  EXPECT_EQ(billing.Distance(4, 4), 0.0);
+  EXPECT_NEAR(billing.Distance(0, 35), DijkstraDistance(g, 0, 35), 1e-9);
+  EXPECT_DOUBLE_EQ(billing.Distance(35, 0), billing.Distance(0, 35));
+  EXPECT_EQ(billing.query_count(), 4);
+  EXPECT_EQ(inner.query_count(), 4);
 
-TEST(CachedOracleTest, SelfDistanceSkipsInner) {
-  const RoadNetwork g = MakeGridGraph(3, 3, 1.0);
-  DijkstraOracle inner(&g);
-  CachedOracle cached(&inner, 16);
-  EXPECT_DOUBLE_EQ(cached.Distance(4, 4), 0.0);
-  EXPECT_EQ(inner.query_count(), 0);
-}
+  std::vector<double> out;
+  billing.BatchQuery({0, 7, 7}, {7, 35}, &out);
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out[2], 0.0);  // 7 -> 7
+  EXPECT_EQ(out[5], inner.Distance(7, 35));
+  EXPECT_EQ(billing.query_count(), 10);
+  EXPECT_EQ(inner.query_count(), 11);  // + the reference Distance above
 
-TEST(CachedOracleTest, EvictionStillCorrect) {
-  const RoadNetwork g = MakeGridGraph(6, 6, 1.0);
-  DijkstraOracle inner(&g);
-  CachedOracle cached(&inner, 2);  // tiny cache, heavy eviction
-  Rng rng(31);
-  for (int trial = 0; trial < 100; ++trial) {
-    const VertexId s = rng.UniformInt(0, g.num_vertices() - 1);
-    const VertexId t = rng.UniformInt(0, g.num_vertices() - 1);
-    EXPECT_NEAR(cached.Distance(s, t), DijkstraDistance(g, s, t), 1e-9);
-  }
+  EXPECT_EQ(billing.Path(0, 35), inner.Path(0, 35));
+  EXPECT_EQ(billing.query_count(), 10);  // paths are not billed
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "src/algos/batch.h"
+#include "src/shortest/hub_labels.h"
+#include "src/sim/dispatch_window.h"
 #include "src/sim/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/workload/city.h"
@@ -254,6 +256,47 @@ TEST(ValidateSimOptionsTest, ConstructorAppliesValidation) {
   EXPECT_EQ(rep.processed_requests, rep.total_requests);
   const InvariantReport acct = CheckAccounting(rep);
   EXPECT_TRUE(acct.ok) << acct.violation;
+}
+
+TEST(SimulatorTest, LabelsAnswerEveryBilledQuery) {
+  // Simulation bills each planner call once and forwards it to the
+  // caller's oracle, so the labels answer exactly the run's
+  // distance_queries: nothing is served on the side, on either loop.
+  const RoadNetwork graph = MakeNycLike(0.02, 9);
+  HubLabelOracle labels = HubLabelOracle::Build(graph);
+  Rng rng(9);
+  const std::vector<Worker> workers = GenerateWorkers(graph, 10, 3.0, &rng);
+  RequestParams rp;
+  rp.count = 120;
+  rp.duration_min = 180.0;
+  rp.seed = 10;
+  const std::vector<Request> requests =
+      GenerateRequests(graph, rp, &labels, &rng);
+
+  labels.ResetQueryCount();
+  Simulation per_request(&graph, &labels, workers, &requests, SimOptions{});
+  const SimReport a = per_request.Run(MakePruneGreedyDpFactory({}));
+  EXPECT_GT(a.distance_queries, 0);
+  EXPECT_EQ(labels.query_count(), a.distance_queries);
+
+  labels.ResetQueryCount();
+  SimOptions options;
+  options.batch_window_s = 6.0;
+  options.num_threads = 2;
+  Simulation windowed(&graph, &labels, workers, &requests, options);
+  const SimReport b = windowed.Run(MakeDispatchWindowFactory({}));
+  EXPECT_GT(b.distance_queries, 0);
+  EXPECT_EQ(labels.query_count(), b.distance_queries);
+}
+
+TEST(SimulatorDeathTest, UnsortedReleaseTimesAbort) {
+  // The release order is checked in every build, not only by assert.
+  SimFixture f(29, 4, 20);
+  std::vector<Request> requests = f.requests;
+  requests[1].release_time = requests[0].release_time - 1.0;
+  EXPECT_DEATH(Simulation(&f.graph, &f.oracle, f.workers, &requests,
+                          SimOptions{}),
+               "released before");
 }
 
 }  // namespace

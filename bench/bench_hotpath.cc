@@ -11,6 +11,8 @@
 // to the build tree (BENCH_smoke_*.json) so smoke-sized records can never
 // corrupt the full-run trajectories CI uploads as artifacts.
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -24,6 +26,7 @@
 #include "src/model/feasibility.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
+#include "src/shortest/contraction.h"
 #include "src/shortest/hub_labels.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -138,9 +141,19 @@ double TimeQueries(HubLabelOracle* labels, VertexId n, std::int64_t queries,
   return ms;
 }
 
-// The hub labels at the base city and at ~10x its size: build time, label
-// size and point-query latency, then the batched gather against the
-// point-query loop on the same labels.
+// Peak resident set of this process so far, in MiB.
+double PeakRssMib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+// The hub labels on NYC-like cities from ~1k to ~100k vertices (default
+// scale): the contraction pass alone, the whole build (which runs the pass
+// again), label size, the process's peak RSS after the build and
+// point-query latency, then the batched gather against the point-query
+// loop on the same labels. Sizes ascend, so the peak RSS of a record is
+// set by its own build.
 void BenchOracleConfigs(bool smoke, std::vector<std::string>* lines) {
   const double s = EnvScale();
   struct GraphPoint {
@@ -148,13 +161,23 @@ void BenchOracleConfigs(bool smoke, std::vector<std::string>* lines) {
     double scale;
     std::int64_t queries;
   };
-  const std::vector<GraphPoint> points = {
+  std::vector<GraphPoint> points = {
       {"nyc_like", 0.12 * s, smoke ? 20'000 : 500'000},
+      {"nyc_like_s0.25", 0.25 * s, smoke ? 20'000 : 500'000},
+      {"nyc_like_s0.49", 0.49 * s, smoke ? 20'000 : 500'000},
+      {"nyc_like_s1", 1.0 * s, smoke ? 20'000 : 200'000},
       {"nyc_like_10x", 1.2 * s, smoke ? 20'000 : 200'000},
   };
+  if (!smoke) points.push_back({"nyc_like_s10", 10.0 * s, 200'000});
   for (const GraphPoint& pt : points) {
     const RoadNetwork graph = MakeNycLike(pt.scale, 1);
     const auto n = graph.num_vertices();
+    const auto c_t0 = Clock::now();
+    const std::vector<int> rank = ContractionOrder(graph);
+    const double contraction_ms = MsSince(c_t0);
+    if (rank.size() != static_cast<std::size_t>(n)) {
+      std::printf("unreachable\n");
+    }
     const auto b_t0 = Clock::now();
     HubLabelOracle labels = HubLabelOracle::Build(graph);
     const double build_ms = MsSince(b_t0);
@@ -165,7 +188,9 @@ void BenchOracleConfigs(bool smoke, std::vector<std::string>* lines) {
             {"vertices", std::to_string(n)},
             {"avg_label", Fmt(labels.average_label_size())},
             {"label_memory_bytes", std::to_string(labels.MemoryBytes())},
+            {"contraction_ms", Fmt(contraction_ms)},
             {"build_ms", Fmt(build_ms)},
+            {"peak_rss_mib", Fmt(PeakRssMib())},
             {"queries", std::to_string(pt.queries)}},
            q_ms, pt.queries / (q_ms / 1e3),
            per_query_us.Percentile(50) * 1e-3,

@@ -1,7 +1,7 @@
 // Microbenchmark of the shortest-distance substrate: Dijkstra vs
-// bidirectional Dijkstra vs hub labels (what the simulations query) vs the
-// contraction-hierarchy query. Hub labels are the paper's O(1)-ish query
-// assumption [9]; this shows why that assumption is reasonable.
+// bidirectional Dijkstra vs hub labels (what the simulations query). Hub
+// labels are the paper's O(1)-ish query assumption [9]; this shows why
+// that assumption is reasonable.
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,6 @@
 
 #include "src/shortest/bidijkstra.h"
 #include "src/shortest/dijkstra.h"
-#include "src/shortest/contraction.h"
 #include "src/shortest/hub_labels.h"
 #include "src/util/rng.h"
 #include "src/workload/city.h"
@@ -20,12 +19,9 @@ namespace {
 struct OracleFixture {
   OracleFixture() : graph(MakeNycLike(0.08, 5)) {
     labels = std::make_unique<HubLabelOracle>(HubLabelOracle::Build(graph));
-    ch = std::make_unique<ContractionHierarchy>(
-        ContractionHierarchy::Build(graph));
   }
   RoadNetwork graph;
   std::unique_ptr<HubLabelOracle> labels;
-  std::unique_ptr<ContractionHierarchy> ch;
 };
 
 OracleFixture& Fixture() {
@@ -100,22 +96,11 @@ void BM_HubLabelsPointGather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ns * 2);
 }
 
-void BM_ContractionHierarchy(benchmark::State& state) {
-  auto& f = Fixture();
-  Rng rng(1);
-  for (auto _ : state) {
-    const VertexId s = rng.UniformInt(0, f.graph.num_vertices() - 1);
-    const VertexId t = rng.UniformInt(0, f.graph.num_vertices() - 1);
-    benchmark::DoNotOptimize(f.ch->Distance(s, t));
-  }
-}
-
 BENCHMARK(BM_Dijkstra);
 BENCHMARK(BM_BidirectionalDijkstra);
 BENCHMARK(BM_HubLabels);
 BENCHMARK(BM_HubLabelsBatchGather)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_HubLabelsPointGather)->Arg(4)->Arg(16)->Arg(64);
-BENCHMARK(BM_ContractionHierarchy);
 
 }  // namespace
 }  // namespace urpsm

@@ -1,321 +1,206 @@
 #include "src/shortest/contraction.h"
 
 #include <algorithm>
-#include <limits>
+#include <cstdint>
+#include <functional>
 #include <queue>
-#include <unordered_map>
 #include <utility>
-
-#include "src/shortest/dijkstra.h"
 
 namespace urpsm {
 
 namespace {
 
-/// Working-graph edge during contraction.
-struct WorkEdge {
+/// Working-graph arc. Every undirected edge is stored at both endpoints;
+/// parallel edges are merged at their minimum cost.
+struct WorkArc {
+  VertexId to;
   double cost;
-  VertexId middle;  // kInvalidVertex for original edges
 };
 
-using WorkAdj = std::vector<std::unordered_map<VertexId, WorkEdge>>;
-
-/// Witness search: is there a path a -> b avoiding `banned` with cost
-/// <= bound, using only uncontracted vertices? Truncated (settle budget);
-/// truncation errs toward "no witness", which only adds extra shortcuts —
-/// never incorrect distances.
-bool HasWitness(const WorkAdj& adj, const std::vector<bool>& contracted,
-                VertexId a, VertexId b, VertexId banned, double bound,
-                int settle_budget) {
-  if (a == b) return true;
-  std::unordered_map<VertexId, double> dist;
-  using HeapEntry = std::pair<double, VertexId>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
-  dist[a] = 0.0;
-  heap.push({0.0, a});
-  int settled = 0;
-  while (!heap.empty() && settled < settle_budget) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    if (d > bound) break;
-    auto it = dist.find(u);
-    if (it != dist.end() && d > it->second) continue;
-    if (u == b) return true;
-    ++settled;
-    for (const auto& [to, e] : adj[static_cast<std::size_t>(u)]) {
-      if (to == banned || contracted[static_cast<std::size_t>(to)]) continue;
-      const double nd = d + e.cost;
-      if (nd > bound) continue;
-      auto dit = dist.find(to);
-      if (dit == dist.end() || nd < dit->second) {
-        dist[to] = nd;
-        heap.push({nd, to});
-      }
-    }
-  }
-  return false;
-}
-
-/// Shortcuts that contracting `v` would create right now.
-std::vector<std::tuple<VertexId, VertexId, double>> RequiredShortcuts(
-    const WorkAdj& adj, const std::vector<bool>& contracted, VertexId v,
-    int settle_budget) {
-  std::vector<std::pair<VertexId, double>> nbrs;
-  for (const auto& [to, e] : adj[static_cast<std::size_t>(v)]) {
-    if (!contracted[static_cast<std::size_t>(to)]) nbrs.push_back({to, e.cost});
-  }
-  std::vector<std::tuple<VertexId, VertexId, double>> shortcuts;
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-      const auto [a, ca] = nbrs[i];
-      const auto [b, cb] = nbrs[j];
-      const double through = ca + cb;
-      if (!HasWitness(adj, contracted, a, b, v, through, settle_budget)) {
-        shortcuts.push_back({a, b, through});
-      }
-    }
-  }
-  return shortcuts;
-}
-
-void AddWorkEdge(WorkAdj* adj, VertexId u, VertexId v, double cost,
-                 VertexId middle) {
-  auto& row = (*adj)[static_cast<std::size_t>(u)];
-  auto it = row.find(v);
-  if (it == row.end() || cost < it->second.cost) row[v] = {cost, middle};
-}
-
-/// The full contraction loop: lazy edge-difference priority, witness
-/// searches, shortcut insertion. Shared between ContractionHierarchy::Build
-/// (which also materializes the upward search graph from `adj`) and
-/// ContractionOrder (which only needs the ranks). Both callers therefore see
-/// the exact same contraction sequence.
-struct ContractionResult {
-  WorkAdj adj;
-  std::vector<int> rank;
-  std::int64_t num_shortcuts = 0;
+struct Shortcut {
+  VertexId a;
+  VertexId b;
+  double cost;
 };
 
-ContractionResult RunContraction(const RoadNetwork& graph) {
-  constexpr int kSettleBudget = 60;
-  const auto n = static_cast<std::size_t>(graph.num_vertices());
-  ContractionResult res;
-  WorkAdj& adj = res.adj;
-  adj.resize(n);
+/// Settled-vertex cap of one witness search. A search cut short reports
+/// "no witness", which adds a shortcut the graph may not need: it can make
+/// the order worse, never a label distance wrong.
+constexpr int kSettleLimit = 500;
+
+class Contractor {
+ public:
+  explicit Contractor(const RoadNetwork& graph);
+
+  /// Contracts every vertex and returns the contraction ranks.
+  std::vector<int> Run();
+
+ private:
+  /// Shortcuts that contracting `v` would add now, in neighbour order.
+  void FindShortcuts(VertexId v, std::vector<Shortcut>* out);
+
+  /// Dijkstra from `source` over uncontracted vertices, skipping `banned`
+  /// and every path longer than `bound`. Stops once the `num_targets`
+  /// vertices marked with the current epoch are settled or kSettleLimit
+  /// vertices are settled. Leaves tentative distances in dist_.
+  void WitnessSearch(VertexId source, VertexId banned, double bound,
+                     int num_targets);
+
+  /// Removes `v` from its neighbours' lists and inserts `shortcuts`.
+  void Contract(VertexId v, const std::vector<Shortcut>& shortcuts);
+
+  /// Adds arc from -> to, or lowers the cost of an existing one.
+  void AddArc(VertexId from, VertexId to, double cost);
+
+  std::vector<std::vector<WorkArc>> adj_;
+  std::vector<int> deleted_neighbors_;
+
+  // Witness-search state: dist_[v] is valid only when reached_[v] holds
+  // the current epoch, and v is a target only when target_[v] does, so a
+  // new search resets both arrays by bumping the epoch. 64-bit stamps
+  // never wrap, so a stale stamp never aliases a later epoch.
+  std::vector<double> dist_;
+  std::vector<std::uint64_t> reached_;
+  std::vector<std::uint64_t> target_;
+  std::uint64_t epoch_ = 0;
+  std::vector<std::pair<double, VertexId>> heap_;  // min-heap via greater<>
+};
+
+Contractor::Contractor(const RoadNetwork& graph)
+    : adj_(static_cast<std::size_t>(graph.num_vertices())),
+      deleted_neighbors_(adj_.size(), 0),
+      dist_(adj_.size(), 0.0),
+      reached_(adj_.size(), 0),
+      target_(adj_.size(), 0) {
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    for (const auto& arc : graph.Neighbors(v)) {
-      auto it = adj[static_cast<std::size_t>(v)].find(arc.to);
-      if (it == adj[static_cast<std::size_t>(v)].end() ||
-          arc.cost < it->second.cost) {
-        adj[static_cast<std::size_t>(v)][arc.to] = {arc.cost, kInvalidVertex};
+    for (const auto& arc : graph.Neighbors(v)) AddArc(v, arc.to, arc.cost);
+  }
+}
+
+void Contractor::AddArc(VertexId from, VertexId to, double cost) {
+  auto& row = adj_[static_cast<std::size_t>(from)];
+  for (WorkArc& arc : row) {
+    if (arc.to == to) {
+      arc.cost = std::min(arc.cost, cost);
+      return;
+    }
+  }
+  row.push_back({to, cost});
+}
+
+void Contractor::WitnessSearch(VertexId source, VertexId banned, double bound,
+                               int num_targets) {
+  const auto greater = std::greater<std::pair<double, VertexId>>();
+  heap_.clear();
+  reached_[static_cast<std::size_t>(source)] = epoch_;
+  dist_[static_cast<std::size_t>(source)] = 0.0;
+  heap_.push_back({0.0, source});
+  int settled = 0;
+  while (!heap_.empty() && num_targets > 0 && settled < kSettleLimit) {
+    std::pop_heap(heap_.begin(), heap_.end(), greater);
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    const auto ui = static_cast<std::size_t>(u);
+    if (d > dist_[ui]) continue;  // superseded entry
+    ++settled;
+    if (target_[ui] == epoch_) --num_targets;
+    for (const WorkArc& arc : adj_[ui]) {
+      if (arc.to == banned) continue;
+      const double nd = d + arc.cost;
+      if (nd > bound) continue;
+      const auto wi = static_cast<std::size_t>(arc.to);
+      if (reached_[wi] != epoch_ || nd < dist_[wi]) {
+        reached_[wi] = epoch_;
+        dist_[wi] = nd;
+        heap_.push_back({nd, arc.to});
+        std::push_heap(heap_.begin(), heap_.end(), greater);
       }
     }
   }
+}
 
-  res.rank.assign(n, -1);
-  std::vector<bool> contracted(n, false);
-  std::vector<int> deleted_neighbors(n, 0);
-
-  const auto priority = [&](VertexId v) {
-    const auto sc = RequiredShortcuts(adj, contracted, v, kSettleBudget);
-    int degree = 0;
-    for (const auto& [to, e] : adj[static_cast<std::size_t>(v)]) {
-      if (!contracted[static_cast<std::size_t>(to)]) ++degree;
+void Contractor::FindShortcuts(VertexId v, std::vector<Shortcut>* out) {
+  out->clear();
+  const auto& nbrs = adj_[static_cast<std::size_t>(v)];
+  // Edges are undirected, so the search from nbrs[i] only needs to witness
+  // the pairs (i, j > i). Any tentative distance is the cost of a real
+  // path around v, so a target reached within its through-cost has a
+  // witness even if the search stopped before settling it.
+  for (std::size_t i = 0; i + 1 < nbrs.size(); ++i) {
+    ++epoch_;
+    double max_cost = 0.0;
+    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
+      target_[static_cast<std::size_t>(nbrs[j].to)] = epoch_;
+      max_cost = std::max(max_cost, nbrs[j].cost);
     }
-    return static_cast<double>(sc.size()) - degree +
-           2.0 * deleted_neighbors[static_cast<std::size_t>(v)];
+    WitnessSearch(nbrs[i].to, v, nbrs[i].cost + max_cost,
+                  static_cast<int>(nbrs.size() - i - 1));
+    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
+      const double through = nbrs[i].cost + nbrs[j].cost;
+      const auto wi = static_cast<std::size_t>(nbrs[j].to);
+      if (reached_[wi] != epoch_ || dist_[wi] > through) {
+        out->push_back({nbrs[i].to, nbrs[j].to, through});
+      }
+    }
+  }
+}
+
+void Contractor::Contract(VertexId v, const std::vector<Shortcut>& shortcuts) {
+  auto& row = adj_[static_cast<std::size_t>(v)];
+  for (const WorkArc& arc : row) {
+    // Every arc is stored at both ends, so the back arc to v exists.
+    auto& back = adj_[static_cast<std::size_t>(arc.to)];
+    back.erase(std::find_if(back.begin(), back.end(),
+                            [v](const WorkArc& a) { return a.to == v; }));
+    ++deleted_neighbors_[static_cast<std::size_t>(arc.to)];
+  }
+  for (const Shortcut& s : shortcuts) {
+    AddArc(s.a, s.b, s.cost);
+    AddArc(s.b, s.a, s.cost);
+  }
+  std::vector<WorkArc>().swap(row);
+}
+
+std::vector<int> Contractor::Run() {
+  const auto n = adj_.size();
+  std::vector<Shortcut> shortcuts;
+  const auto priority = [&](VertexId v) {
+    FindShortcuts(v, &shortcuts);
+    const auto vi = static_cast<std::size_t>(v);
+    return static_cast<double>(shortcuts.size()) -
+           static_cast<double>(adj_[vi].size()) +
+           2.0 * deleted_neighbors_[vi];
   };
 
   using PqEntry = std::pair<double, VertexId>;
   std::priority_queue<PqEntry, std::vector<PqEntry>, std::greater<>> pq;
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+  for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
     pq.push({priority(v), v});
   }
 
+  std::vector<int> rank(n, -1);
   int next_rank = 0;
   while (!pq.empty()) {
-    auto [p, v] = pq.top();
+    const VertexId v = pq.top().second;
     pq.pop();
-    if (contracted[static_cast<std::size_t>(v)]) continue;
-    // Lazy update: re-evaluate and re-queue if stale.
+    if (rank[static_cast<std::size_t>(v)] >= 0) continue;
+    // Lazy update: re-evaluate and re-queue if stale. A fresh priority
+    // leaves v's shortcut list in `shortcuts` for the contraction.
     const double cur = priority(v);
     if (!pq.empty() && cur > pq.top().first) {
       pq.push({cur, v});
       continue;
     }
-    // Contract v.
-    const auto shortcuts =
-        RequiredShortcuts(adj, contracted, v, kSettleBudget);
-    for (const auto& [a, b, cost] : shortcuts) {
-      AddWorkEdge(&adj, a, b, cost, v);
-      AddWorkEdge(&adj, b, a, cost, v);
-      ++res.num_shortcuts;
-    }
-    contracted[static_cast<std::size_t>(v)] = true;
-    res.rank[static_cast<std::size_t>(v)] = next_rank++;
-    for (const auto& [to, e] : adj[static_cast<std::size_t>(v)]) {
-      if (!contracted[static_cast<std::size_t>(to)]) {
-        ++deleted_neighbors[static_cast<std::size_t>(to)];
-      }
-    }
+    Contract(v, shortcuts);
+    rank[static_cast<std::size_t>(v)] = next_rank++;
   }
-  return res;
+  return rank;
 }
 
 }  // namespace
 
 std::vector<int> ContractionOrder(const RoadNetwork& graph) {
-  return RunContraction(graph).rank;
-}
-
-ContractionHierarchy ContractionHierarchy::Build(const RoadNetwork& graph) {
-  const auto n = static_cast<std::size_t>(graph.num_vertices());
-  ContractionResult res = RunContraction(graph);
-  const WorkAdj& adj = res.adj;
-
-  ContractionHierarchy ch;
-  ch.up_.resize(n);
-  ch.rank_ = std::move(res.rank);
-  ch.num_shortcuts_ = res.num_shortcuts;
-
-  // Materialize the upward graph: every working edge (u, w) hangs off the
-  // lower-ranked endpoint. Keep only the cheapest parallel arc.
-  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
-    for (const auto& [to, e] : adj[static_cast<std::size_t>(u)]) {
-      if (ch.rank_[static_cast<std::size_t>(u)] <
-          ch.rank_[static_cast<std::size_t>(to)]) {
-        ch.up_[static_cast<std::size_t>(u)].push_back({to, e.cost, e.middle});
-      }
-    }
-  }
-  return ch;
-}
-
-double ContractionHierarchy::Query(VertexId s, VertexId t, VertexId* meeting,
-                                   std::vector<VertexId>* parent_f,
-                                   std::vector<VertexId>* parent_b) const {
-  const auto n = up_.size();
-  std::vector<double> dist_f(n, kInfDistance), dist_b(n, kInfDistance);
-  if (parent_f != nullptr) parent_f->assign(n, kInvalidVertex);
-  if (parent_b != nullptr) parent_b->assign(n, kInvalidVertex);
-  using HeapEntry = std::pair<double, VertexId>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      heap_f, heap_b;
-  dist_f[static_cast<std::size_t>(s)] = 0.0;
-  dist_b[static_cast<std::size_t>(t)] = 0.0;
-  heap_f.push({0.0, s});
-  heap_b.push({0.0, t});
-  double best = kInfDistance;
-  if (meeting != nullptr) *meeting = kInvalidVertex;
-
-  const auto relax = [&](bool forward) {
-    auto& heap = forward ? heap_f : heap_b;
-    auto& dist = forward ? dist_f : dist_b;
-    auto& other = forward ? dist_b : dist_f;
-    auto* parent = forward ? parent_f : parent_b;
-    auto [d, u] = heap.top();
-    heap.pop();
-    const auto ui = static_cast<std::size_t>(u);
-    if (d > dist[ui]) return;
-    if (other[ui] < kInfDistance && d + other[ui] < best) {
-      best = d + other[ui];
-      if (meeting != nullptr) *meeting = u;
-    }
-    for (const UpArc& arc : up_[ui]) {
-      const auto vi = static_cast<std::size_t>(arc.to);
-      const double nd = d + arc.cost;
-      if (nd < dist[vi]) {
-        dist[vi] = nd;
-        if (parent != nullptr) (*parent)[vi] = u;
-        heap.push({nd, arc.to});
-      }
-    }
-  };
-
-  while (!heap_f.empty() || !heap_b.empty()) {
-    const double top_f = heap_f.empty() ? kInfDistance : heap_f.top().first;
-    const double top_b = heap_b.empty() ? kInfDistance : heap_b.top().first;
-    if (std::min(top_f, top_b) >= best) break;
-    if (top_f <= top_b) {
-      relax(true);
-    } else {
-      relax(false);
-    }
-  }
-  return best;
-}
-
-double ContractionHierarchy::Distance(VertexId u, VertexId v) {
-  ++query_count_;
-  if (u == v) return 0.0;
-  return Query(u, v, nullptr, nullptr, nullptr);
-}
-
-const ContractionHierarchy::UpArc* ContractionHierarchy::FindUpArc(
-    VertexId from, VertexId to) const {
-  const UpArc* best = nullptr;
-  for (const UpArc& arc : up_[static_cast<std::size_t>(from)]) {
-    if (arc.to == to && (best == nullptr || arc.cost < best->cost)) {
-      best = &arc;
-    }
-  }
-  return best;
-}
-
-void ContractionHierarchy::UnpackArc(VertexId from, VertexId to,
-                                     std::vector<VertexId>* out) const {
-  // The up-arc lives at the lower-ranked endpoint.
-  const bool from_lower = rank_[static_cast<std::size_t>(from)] <
-                          rank_[static_cast<std::size_t>(to)];
-  const UpArc* arc =
-      from_lower ? FindUpArc(from, to) : FindUpArc(to, from);
-  if (arc == nullptr || arc->middle == kInvalidVertex) {
-    out->push_back(to);
-    return;
-  }
-  UnpackArc(from, arc->middle, out);
-  UnpackArc(arc->middle, to, out);
-}
-
-std::vector<VertexId> ContractionHierarchy::Path(VertexId u, VertexId v) {
-  if (u == v) return {u};
-  VertexId meeting = kInvalidVertex;
-  std::vector<VertexId> parent_f, parent_b;
-  const double d = Query(u, v, &meeting, &parent_f, &parent_b);
-  if (d == kInfDistance || meeting == kInvalidVertex) return {};
-  // Up-graph path u -> meeting (reversed walk over forward parents).
-  std::vector<VertexId> fwd;
-  for (VertexId x = meeting; x != kInvalidVertex;
-       x = parent_f[static_cast<std::size_t>(x)]) {
-    fwd.push_back(x);
-  }
-  std::reverse(fwd.begin(), fwd.end());
-  // meeting -> v over backward parents.
-  std::vector<VertexId> bwd;
-  for (VertexId x = parent_b[static_cast<std::size_t>(meeting)];
-       x != kInvalidVertex; x = parent_b[static_cast<std::size_t>(x)]) {
-    bwd.push_back(x);
-  }
-  // Unpack every hierarchy arc into original vertices.
-  std::vector<VertexId> path = {u};
-  for (std::size_t i = 0; i + 1 < fwd.size(); ++i) {
-    UnpackArc(fwd[i], fwd[i + 1], &path);
-  }
-  VertexId prev = meeting;
-  for (VertexId x : bwd) {
-    UnpackArc(prev, x, &path);
-    prev = x;
-  }
-  return path;
-}
-
-std::int64_t ContractionHierarchy::MemoryBytes() const {
-  std::int64_t total = 0;
-  for (const auto& arcs : up_) {
-    total += static_cast<std::int64_t>(arcs.capacity() * sizeof(UpArc));
-  }
-  total += static_cast<std::int64_t>(rank_.capacity() * sizeof(int));
-  return total;
+  return Contractor(graph).Run();
 }
 
 }  // namespace urpsm

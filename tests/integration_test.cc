@@ -6,7 +6,6 @@
 #include "src/algos/kinetic.h"
 #include "src/algos/tshare.h"
 #include "src/core/objective.h"
-#include "src/shortest/contraction.h"
 #include "src/shortest/hub_labels.h"
 #include "src/sim/metrics.h"
 #include "src/sim/simulator.h"
@@ -155,23 +154,16 @@ TEST_F(IntegrationTest, SimulationIdenticalAcrossOracles) {
   // The planner's decisions depend only on distances; any exact oracle
   // must produce a bit-identical simulation outcome.
   DijkstraOracle dijkstra(graph_);
-  ContractionHierarchy ch = ContractionHierarchy::Build(*graph_);
 
   Simulation sim_hub(graph_, labels_, *workers_, requests_, SimOptions{});
   const SimReport hub = sim_hub.Run(MakePruneGreedyDpFactory({}));
   Simulation sim_dij(graph_, &dijkstra, *workers_, requests_, SimOptions{});
   const SimReport dij = sim_dij.Run(MakePruneGreedyDpFactory({}));
-  Simulation sim_ch(graph_, &ch, *workers_, requests_, SimOptions{});
-  const SimReport chr = sim_ch.Run(MakePruneGreedyDpFactory({}));
 
   EXPECT_EQ(hub.served_requests, dij.served_requests);
-  EXPECT_EQ(hub.served_requests, chr.served_requests);
   EXPECT_NEAR(hub.unified_cost, dij.unified_cost,
               1e-6 * hub.unified_cost);
-  EXPECT_NEAR(hub.unified_cost, chr.unified_cost,
-              1e-6 * hub.unified_cost);
   EXPECT_EQ(sim_hub.served(), sim_dij.served());
-  EXPECT_EQ(sim_hub.served(), sim_ch.served());
 }
 
 }  // namespace

@@ -35,7 +35,11 @@ class TraceTest : public ::testing::Test {
 
   RoadNetwork graph_;
   DijkstraOracle oracle_;
-  std::string path_ = ::testing::TempDir() + "/urpsm_trips.csv";
+  // One file per test: ctest runs the cases as parallel processes.
+  std::string path_ =
+      ::testing::TempDir() + "/urpsm_trips_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(TraceTest, CsvRoundTrip) {

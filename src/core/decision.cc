@@ -1,6 +1,7 @@
 #include "src/core/decision.h"
 
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
 namespace urpsm {
@@ -113,65 +114,20 @@ double DecisionLowerBound(const Worker& worker, const Route& route,
   return DecisionDp(st, r, L, cap, o_col.data(), d_col.data());
 }
 
-void BatchDecisionLowerBounds(const std::vector<const Worker*>& workers,
-                              const std::vector<const RouteState*>& states,
-                              const Request& r, double L,
-                              const RoadNetwork& graph,
-                              std::vector<double>* out) {
-  const std::size_t nc = workers.size();
-  out->resize(nc);
-
-  const Point origin = graph.coord(r.origin);
-  const Point dest = graph.coord(r.destination);
-  const double vmax = MaxSpeedKmPerMin();
-
-  // Per-candidate gather limit (same rule as DecisionLowerBound), with the
-  // columns of all candidates laid out back to back in one flat buffer —
-  // one tight gather loop for the whole candidate set.
-  thread_local std::vector<std::size_t> offset;
-  thread_local std::vector<int> limit;
-  thread_local std::vector<double> o_col;
-  thread_local std::vector<double> d_col;
-  offset.resize(nc + 1);
-  limit.resize(nc);
-  offset[0] = 0;
-  for (std::size_t c = 0; c < nc; ++c) {
-    const RouteState& st = *states[c];
-    int m = st.n;
-    for (int k = 0; k <= st.n; ++k) {
-      if (st.arr[static_cast<std::size_t>(k)] > r.deadline) {
-        m = k;
-        break;
-      }
-    }
-    const bool skip = workers[c]->capacity - r.capacity < 0;
-    limit[c] = skip ? -1 : m;  // infeasible capacity gathers nothing
-    offset[c + 1] = offset[c] + (skip ? 0 : static_cast<std::size_t>(m) + 1);
-  }
-  o_col.resize(offset[nc]);
-  d_col.resize(offset[nc]);
-  for (std::size_t c = 0; c < nc; ++c) {
-    const RouteState& st = *states[c];
-    double* oc = o_col.data() + offset[c];
-    double* dc = d_col.data() + offset[c];
-    for (int k = 0; k <= limit[c]; ++k) {
-      // Same expression as DecisionLowerBound's gather element-wise — the
-      // bit-identity depends on it.
-      const Point& p = st.pts[static_cast<std::size_t>(k)];
-      oc[k] = EuclideanDistance(p, origin) / vmax;
-      dc[k] = EuclideanDistance(p, dest) / vmax;
-    }
-  }
-
-  for (std::size_t c = 0; c < nc; ++c) {
-    if (limit[c] < 0) {
-      (*out)[c] = kInf;
-      continue;
-    }
-    const int cap = workers[c]->capacity - r.capacity;
-    (*out)[c] = DecisionDp(*states[c], r, L, cap, o_col.data() + offset[c],
-                           d_col.data() + offset[c]);
-  }
+double IdleDecisionLowerBound(const Worker& worker, const Route& route,
+                              const Request& r, double L, double now,
+                              const RoadNetwork& graph) {
+  assert(route.empty());
+  if (worker.capacity - r.capacity < 0) return kInf;
+  // Touch moves an idle clock forward to `now`, never back.
+  const double t0 = std::max(route.anchor_time(), now);
+  // Same expression as DecisionLowerBound's gather (divide, not multiply
+  // by the reciprocal) — the bit-identity depends on it.
+  const double euc =
+      EuclideanDistance(graph.coord(route.anchor()), graph.coord(r.origin)) /
+      MaxSpeedKmPerMin();
+  if (t0 + euc + L > r.deadline) return kInf;
+  return std::max(0.0, euc + L);
 }
 
 // The pre-column code path, verbatim: every Euclidean bound is an

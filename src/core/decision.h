@@ -1,8 +1,6 @@
 #ifndef URPSM_SRC_CORE_DECISION_H_
 #define URPSM_SRC_CORE_DECISION_H_
 
-#include <vector>
-
 #include "src/model/feasibility.h"
 #include "src/model/route.h"
 #include "src/model/types.h"
@@ -28,17 +26,17 @@ double DecisionLowerBound(const Worker& worker, const Route& route,
                           const RouteState& st, const Request& r, double L,
                           const RoadNetwork& graph);
 
-/// Batched decision phase: lower bounds for every candidate (worker,
-/// state) pair of ONE request, gathering all per-candidate Euclidean bound
-/// columns in a single pass over the concatenated route-state coordinate
-/// arrays before running the DP per candidate. out[i] is bit-identical to
-/// DecisionLowerBound(workers[i], ..., states[i], r, L, graph) — the
-/// element arithmetic and the DP are shared, only the gather is fused.
-void BatchDecisionLowerBounds(const std::vector<const Worker*>& workers,
-                              const std::vector<const RouteState*>& states,
-                              const Request& r, double L,
-                              const RoadNetwork& graph,
-                              std::vector<double>* out);
+/// DecisionLowerBound of an idle worker (empty `route`) in closed form,
+/// without touching it: the route Fleet::Touch(w, now) would leave has
+/// the one position l_0 at t0 = max(anchor_time, now), where Eq. 17's
+/// i == j == n branch is the whole DP. kInf when the capacity does not fit
+/// or when (t0 + euc(l_0, o_r) / v_max) + L > e_r, else
+/// max(0, euc(l_0, o_r) / v_max + L) — the DP's expressions in the DP's
+/// order, so the result is bit-identical to DecisionLowerBound on the
+/// touched route (decision_test fuzz-pins the pair).
+double IdleDecisionLowerBound(const Worker& worker, const Route& route,
+                              const Request& r, double L, double now,
+                              const RoadNetwork& graph);
 
 /// Reference implementation computing every Euclidean bound on demand
 /// with per-position calls into the graph (the pre-column code path).

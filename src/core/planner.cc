@@ -22,17 +22,11 @@ double CandidateRadiusKm(const Request& r, double L, double now) {
   return (slack_min + lag_allowance) * MaxSpeedKmPerMin();
 }
 
-std::vector<std::size_t> AscendingLowerBoundOrder(
-    const std::vector<WorkerBound>& bounds) {
-  // Deterministic for a given bounds array: std::sort's introsort is a
-  // pure function of the comparator decisions and element positions, and
-  // every caller funnels through this one instantiation.
-  std::vector<std::size_t> order(bounds.size());
-  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return bounds[a].lower_bound < bounds[b].lower_bound;
-  });
-  return order;
+void SortByLowerBound(std::vector<WorkerBound>* bounds) {
+  std::sort(bounds->begin(), bounds->end(),
+            [](const WorkerBound& a, const WorkerBound& b) {
+              return a.lower_bound < b.lower_bound;
+            });
 }
 
 std::vector<WorkerId> FilterCandidates(PlanningContext* ctx,
@@ -57,44 +51,31 @@ void FilterCandidatesInto(PlanningContext* ctx, const GridIndex& index,
 
 WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
                                const PlannerConfig& config, const Request& r,
-                               double L,
+                               double L, double now,
                                const std::vector<WorkerId>& candidates,
                                InsertionCandidate* best_out,
                                std::int64_t* exact_evaluations) {
   // Phase 1 — decision (Algo. 4): per-worker lower bounds, no new queries.
-  // Route states come from the fleet's per-worker cache (keyed on
-  // Route::version): a worker whose route did not change since the last
-  // request reuses its arrays instead of re-deriving them. The fleet is
-  // frozen for the scan, so the cached state references stay valid while
-  // every candidate's Euclidean bound columns are gathered in one fused
-  // pass; each bound is bit-identical to the per-candidate call.
+  // An idle worker's bound is closed-form (IdleDecisionLowerBound): it is
+  // neither touched nor given a route state unless the scan below
+  // evaluates it. A busy worker's state comes from the fleet's per-worker
+  // cache (keyed on Route::version).
   thread_local std::vector<WorkerBound> bounds;
   thread_local HighWaterClamp bounds_clamp;
-  thread_local std::vector<const Worker*> batch_workers;
-  thread_local std::vector<const RouteState*> batch_states;
-  thread_local std::vector<double> batch_lbs;
-  thread_local HighWaterClamp batch_workers_clamp;
-  thread_local HighWaterClamp batch_states_clamp;
-  thread_local HighWaterClamp batch_lbs_clamp;
   bounds.clear();
-  batch_workers.clear();
-  batch_states.clear();
-  for (const WorkerId w : candidates) {
-    batch_workers.push_back(&fleet->worker(w));
-    batch_states.push_back(&fleet->CachedState(w, ctx));
-  }
-  BatchDecisionLowerBounds(batch_workers, batch_states, r, L, ctx->graph(),
-                           &batch_lbs);
   double min_lb = kInf;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double lb = batch_lbs[i];
+  for (const WorkerId w : candidates) {
+    const Worker& worker = fleet->worker(w);
+    const Route& route = fleet->route(w);
+    const double lb =
+        route.empty()
+            ? IdleDecisionLowerBound(worker, route, r, L, now, ctx->graph())
+            : DecisionLowerBound(worker, route, fleet->CachedState(w, ctx), r,
+                                 L, ctx->graph());
     if (lb == kInf) continue;  // provably infeasible for this worker
-    bounds.push_back({candidates[i], lb});
+    bounds.push_back({w, lb});
     min_lb = std::min(min_lb, lb);
   }
-  batch_workers_clamp.Observe(&batch_workers);
-  batch_states_clamp.Observe(&batch_states);
-  batch_lbs_clamp.Observe(&batch_lbs);
   bounds_clamp.Observe(&bounds);
   if (bounds.empty()) return kInvalidWorker;
   // Line 5 of Algo. 4: reject when the penalty is cheaper than even the
@@ -102,7 +83,17 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
   if (r.penalty < config.alpha * min_lb) return kInvalidWorker;
 
   // Phase 2 — planning: scan in ascending LB order with exact insertion.
-  const std::vector<std::size_t> order = AscendingLowerBoundOrder(bounds);
+  SortByLowerBound(&bounds);
+
+  // An evaluated idle worker is touched first, so its schedule starts at
+  // `now`. A busy worker is never touched: the fleet was advanced to `now`
+  // before planning, so the only stop a touch could still commit is one an
+  // earlier member of the same dispatch window scheduled before `now`, and
+  // committing it would change the window's outcome.
+  const auto prepare = [&](WorkerId w) -> const RouteState& {
+    if (fleet->route(w).empty()) fleet->Touch(w, now);
+    return fleet->CachedState(w, ctx);
+  };
 
   // Multi-route gather: when the scan provably evaluates every ordered
   // candidate (no Lemma 8 cutoff), all candidates' origin/destination
@@ -120,10 +111,9 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
     thread_local HighWaterClamp batch_cutoffs_clamp;
     batch_routes.clear();
     batch_cutoffs.clear();
-    for (const std::size_t k : order) {
-      const WorkerId w = bounds[k].worker;
-      batch_routes.push_back(&fleet->route(w));
-      batch_cutoffs.push_back(InsertionCutoff(fleet->CachedState(w, ctx), r));
+    for (const WorkerBound& b : bounds) {
+      batch_cutoffs.push_back(InsertionCutoff(prepare(b.worker), r));
+      batch_routes.push_back(&fleet->route(b.worker));
     }
     GatherDistanceColumnsMulti(batch_routes, batch_cutoffs, r, ctx,
                                &multi_cols);
@@ -134,8 +124,7 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
 
   WorkerId best_worker = kInvalidWorker;
   InsertionCandidate best;
-  for (std::size_t ko = 0; ko < order.size(); ++ko) {
-    const std::size_t k = order[ko];
+  for (std::size_t k = 0; k < bounds.size(); ++k) {
     // Lemma 8: every remaining worker's exact cost is at least its LB.
     if (config.use_pruning && best.feasible() &&
         LemmaEightCutoff(best.delta, bounds[k].lower_bound)) {
@@ -143,15 +132,14 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
     }
     const WorkerId w = bounds[k].worker;
     if (exact_evaluations != nullptr) ++*exact_evaluations;
-    // The fleet is frozen between Touch and ApplyInsertion, so this hits
-    // the state cache warmed by the decision phase.
+    // The fleet is frozen between the touch and ApplyInsertion, so on the
+    // batch-gather path this hits the state cache warmed above.
+    const RouteState& st = prepare(w);
     const InsertionCandidate cand =
-        batch_gather
-            ? LinearDpInsertion(fleet->worker(w), fleet->route(w),
-                                fleet->CachedState(w, ctx), r,
-                                multi_cols[ko], ctx)
-            : LinearDpInsertion(fleet->worker(w), fleet->route(w),
-                                fleet->CachedState(w, ctx), r, ctx);
+        batch_gather ? LinearDpInsertion(fleet->worker(w), fleet->route(w),
+                                         st, r, multi_cols[k], ctx)
+                     : LinearDpInsertion(fleet->worker(w), fleet->route(w),
+                                         st, r, ctx);
     // Strict improvement only: ties on the exact cost go to the earliest
     // worker in the scan order. Together with the epsilon-guarded cutoff
     // above (which never prunes a potential tie, only strictly worse
@@ -188,14 +176,10 @@ WorkerId GreedyDpPlanner::OnRequest(const Request& r) {
       FilterCandidates(ctx_, *index_, r, L, now);
   if (candidates.empty()) return kInvalidWorker;
 
-  // Touching only mutates the touched worker's own route, so committing
-  // every candidate up front is equivalent to the historical interleaved
-  // touch-then-bound loop — commits happen in the same candidate order.
-  for (const WorkerId w : candidates) fleet_->Touch(w, now);
-
   InsertionCandidate best;
-  const WorkerId best_worker = PlanRequestSequential(
-      ctx_, fleet_, config_, r, L, candidates, &best, &exact_evaluations_);
+  const WorkerId best_worker =
+      PlanRequestSequential(ctx_, fleet_, config_, r, L, now, candidates,
+                            &best, &exact_evaluations_);
   if (best_worker == kInvalidWorker) return kInvalidWorker;
   fleet_->ApplyInsertion(best_worker, r, best.i, best.j, ctx_->oracle());
   return best_worker;

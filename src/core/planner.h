@@ -128,13 +128,14 @@ inline bool LemmaEightCutoff(double best_delta, double lower_bound) {
   return best_delta < lower_bound - 1e-9 * (1.0 + best_delta);
 }
 
-/// Indices of `bounds` in ascending lower-bound order — the planning
-/// phase's scan order. The permutation (ties included) is a pure function
-/// of the bounds array, so every path through PlanRequestSequential —
-/// pruneGreedyDP, GreedyDP, the dispatch-window engine — scans in the
-/// same order and keeps the same first-strict-improvement winner.
-std::vector<std::size_t> AscendingLowerBoundOrder(
-    const std::vector<WorkerBound>& bounds);
+/// Sorts `bounds` in place into the planning phase's scan order:
+/// ascending lower bound. The permutation (ties included) is a pure
+/// function of the array — introsort's comparisons and moves depend only
+/// on comparator outcomes and positions — so every path through
+/// PlanRequestSequential (pruneGreedyDP, GreedyDP, the dispatch-window
+/// engine) scans in the same order and keeps the same
+/// first-strict-improvement winner.
+void SortByLowerBound(std::vector<WorkerBound>* bounds);
 
 /// The candidate filter (line 3 of Algo. 5) shared by every planning
 /// path: the ideal-service deadline test, the conservative radius, and
@@ -156,13 +157,20 @@ std::vector<WorkerId> FilterCandidates(PlanningContext* ctx,
 /// GreedyDpPlanner::OnRequest, the dispatch-window engine's singleton
 /// batches and its conflict replans — funnels through this one function,
 /// so their bit-identity contract has a single implementation to stay in
-/// lockstep with. `candidates` must already be touched to the planning
-/// time; `L` is the request's direct distance. Returns kInvalidWorker on
-/// rejection, else the chosen worker with `*best` filled. Each linear-DP
-/// evaluation increments *exact_evaluations when non-null.
+/// lockstep with. `L` is the request's direct distance and `now` the
+/// planning time; the caller has advanced the fleet to `now` (the
+/// simulator's Fleet::AdvanceTo). Candidates need no touch: an idle
+/// worker's bound is closed-form (IdleDecisionLowerBound), and the scan
+/// touches an idle worker to `now` only when it evaluates it, so only
+/// evaluated idle workers' route versions move. Busy workers are planned
+/// as they stand and never touched — within a dispatch window, a stop an
+/// earlier member scheduled before `now` stays pending, as it was when
+/// the window planned. Returns kInvalidWorker on rejection, else the
+/// chosen worker with `*best` filled. Each linear-DP evaluation
+/// increments *exact_evaluations when non-null.
 WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
                                const PlannerConfig& config, const Request& r,
-                               double L,
+                               double L, double now,
                                const std::vector<WorkerId>& candidates,
                                InsertionCandidate* best,
                                std::int64_t* exact_evaluations);

@@ -69,6 +69,13 @@ void TDigest::Compress() {
   buffer_.clear();
 }
 
+void TDigest::Compact() {
+  centroids_ = QueryView();
+  total_ += buffered_;
+  buffered_ = 0.0;
+  std::vector<Centroid>().swap(buffer_);
+}
+
 void TDigest::MergeSorted(const std::vector<Centroid>& points,
                           std::vector<Centroid>* out) const {
   std::vector<Centroid> all;
@@ -104,6 +111,16 @@ void TDigest::MergeSorted(const std::vector<Centroid>& points,
   out->push_back(cur);
 }
 
+std::vector<Centroid> TDigest::QueryView() const {
+  std::vector<Centroid> pts(buffer_);
+  std::sort(pts.begin(), pts.end(), CentroidLess);
+  std::vector<Centroid> view;
+  view.reserve(centroids_.size() + pts.size());
+  std::merge(centroids_.begin(), centroids_.end(), pts.begin(), pts.end(),
+             std::back_inserter(view), CentroidLess);
+  return view;
+}
+
 double TDigest::Quantile(double q) const {
   const double w_total = total_weight();
   if (w_total <= 0.0) return 0.0;
@@ -112,12 +129,7 @@ double TDigest::Quantile(double q) const {
   // Query view: centroids merged with the *uncompressed* buffer — a
   // scratch copy, never written back, so queries cannot perturb the
   // sketch and small (pre-flush) inputs stay exact singletons.
-  std::vector<Centroid> pts(buffer_);
-  std::sort(pts.begin(), pts.end(), CentroidLess);
-  std::vector<Centroid> view;
-  view.reserve(centroids_.size() + pts.size());
-  std::merge(centroids_.begin(), centroids_.end(), pts.begin(), pts.end(),
-             std::back_inserter(view), CentroidLess);
+  const std::vector<Centroid> view = QueryView();
   if (view.size() == 1) return view[0].mean;
 
   // Piecewise-linear interpolation between centroid rank centers

@@ -69,8 +69,15 @@ class TDigest {
   /// inspect the compressed representation.
   void Compress();
 
-  /// Centroids after the last Compress (buffered points excluded);
-  /// sorted by mean. Bounded by ~2 * compression entries.
+  /// Moves the buffered points into the centroid list as they are, in the
+  /// query view's order (no re-clustering), and frees the ingest buffer:
+  /// for a sketch that is done taking samples. Every Quantile answer and
+  /// the total weight stay bit-identical; only the buffer's memory goes.
+  void Compact();
+
+  /// Centroids after the last Compress or Compact (buffered points
+  /// excluded); sorted by mean. Bounded by ~2 * compression entries after
+  /// a Compress, ~6 * compression after a Compact.
   const std::vector<Centroid>& centroids() const { return centroids_; }
 
   double compression() const { return compression_; }
@@ -82,9 +89,13 @@ class TDigest {
   double ScaleQ(double k) const;
 
   // Merges `points` (sorted by (mean, weight)) with centroids_ and
-  // re-clusters into `out`. Shared by Compress and the query path.
+  // re-clusters into `out`. Used by Compress.
   void MergeSorted(const std::vector<Centroid>& points,
                    std::vector<Centroid>* out) const;
+
+  // centroids_ merged with the sorted buffer, not re-clustered: the
+  // sketch's content as Quantile reads it. Shared by Quantile and Compact.
+  std::vector<Centroid> QueryView() const;
 
   double compression_;
   double total_ = 0.0;                // weight held in centroids_

@@ -74,23 +74,22 @@ void DispatchWindowPlanner::PlanAndApplySingle(const Request& r, double now) {
   const std::vector<WorkerId> candidates =
       FilterCandidates(ctx_, *index_, r, L, now);
   if (candidates.empty()) return;
-  for (const WorkerId w : candidates) fleet_->Touch(w, now);
   Proposal p;
-  if (PlanSequential(r, candidates, &p, &exact_evaluations_)) {
+  if (PlanSequential(r, now, candidates, &p, &exact_evaluations_)) {
     fleet_->ApplyInsertion(p.worker, r, p.i, p.j, ctx_->oracle());
   }
 }
 
 bool DispatchWindowPlanner::PlanSequential(
-    const Request& r, const std::vector<WorkerId>& candidates, Proposal* out,
-    std::int64_t* evals) {
+    const Request& r, double now, const std::vector<WorkerId>& candidates,
+    Proposal* out, std::int64_t* evals) {
   // Funnels through the one shared sequential scan, so batch planning,
   // singleton batches and conflict replans can never drift from
   // GreedyDpPlanner::OnRequest.
   const double L = ctx_->DirectDist(r.id);
   InsertionCandidate best;
   const WorkerId best_worker = PlanRequestSequential(
-      ctx_, fleet_, config_, r, L, candidates, &best, evals);
+      ctx_, fleet_, config_, r, L, now, candidates, &best, evals);
   if (best_worker == kInvalidWorker) return false;
   out->request = r.id;
   out->worker = best_worker;
@@ -104,14 +103,14 @@ bool DispatchWindowPlanner::PlanSequential(
 void DispatchWindowPlanner::OnBatch(const std::vector<RequestId>& batch,
                                     double now, WindowEpoch epoch) {
   // Singleton fast path (the window = 0 / per-request mode): literally
-  // the sequential planner's filter + touch + shared scan, which is what
-  // the bit-identity contract promises anyway.
+  // the sequential planner's filter + shared scan, which is what the
+  // bit-identity contract promises anyway.
   if (batch.size() <= 1) {
     if (!batch.empty()) PlanAndApplySingle(ctx_->request(batch.front()), now);
     return;
   }
   PlanBatch(batch, now, epoch);
-  CommitBatch(epoch);
+  CommitBatch(now, epoch);
 }
 
 void DispatchWindowPlanner::PlanBatch(const std::vector<RequestId>& batch,
@@ -130,7 +129,11 @@ void DispatchWindowPlanner::PlanBatch(const std::vector<RequestId>& batch,
   // that would free every inner buffer): fields are either overwritten
   // below or explicitly reset, keeping capacity warm. The simulator has
   // already advanced the fleet to `now`, so touching only bumps idle
-  // anchors (first touch wins) and the touch order is immaterial.
+  // anchors (first touch wins) and the touch order is immaterial. Every
+  // candidate is touched here, not just the ones a scan evaluates: the
+  // parallel planning tasks below read routes without a lock, so the
+  // scan's own touch of an evaluated idle worker must find nothing left
+  // to write.
   std::vector<Prep>& preps = preps_;
   preps.resize(batch.size());
   touched_.assign(static_cast<std::size_t>(fleet_->size()), 0);
@@ -166,7 +169,8 @@ void DispatchWindowPlanner::PlanBatch(const std::vector<RequestId>& batch,
     Prep& p = preps[b];
     if (!p.alive) return;
     p.evals = 0;
-    p.planned = PlanSequential(*p.r, p.candidates, &proposals[b], &p.evals);
+    p.planned =
+        PlanSequential(*p.r, now, p.candidates, &proposals[b], &p.evals);
   });
   for (const Prep& p : preps) {
     if (p.alive) exact_evaluations_ += p.evals;
@@ -223,7 +227,7 @@ void DispatchWindowPlanner::BuildAcceptSchedule() {
   }
 }
 
-void DispatchWindowPlanner::CommitBatch(WindowEpoch epoch) {
+void DispatchWindowPlanner::CommitBatch(double now, WindowEpoch epoch) {
   // ---- Parallel footprint-ordered apply. Per shard, tickets retire in
   // sequence; a proposal waits until it holds the head ticket of EVERY
   // footprint shard, so any two proposals sharing a shard apply in the
@@ -288,8 +292,8 @@ void DispatchWindowPlanner::CommitBatch(WindowEpoch epoch) {
         bool planned = false;
         {
           const obs::ScopedTimerMs replan_timer(conflict_replan_hist_);
-          planned = PlanSequential(r, preps_[b].candidates, &replanned,
-                                   &stats.evals);
+          planned = PlanSequential(r, now, preps_[b].candidates,
+                                   &replanned, &stats.evals);
         }
         if (planned) {
           fleet_->ApplyInsertion(replanned.worker, r, replanned.i,

@@ -109,11 +109,13 @@ class DispatchWindowPlanner : public BatchPlanner {
   /// Runs body over [0, n) on the pool when attached, inline otherwise.
   void ForEach(std::size_t n, const std::function<void(std::int64_t)>& body);
   /// Full sequential pruneGreedyDP pass for one request against the
-  /// *current* fleet (window planning and conflict replanning). Returns
-  /// false on rejection. DP evaluations are counted into *evals.
-  bool PlanSequential(const Request& r, const std::vector<WorkerId>& candidates,
-                      Proposal* out, std::int64_t* evals);
-  /// The window = 0 / singleton-batch path: filter + touch + the shared
+  /// *current* fleet at time `now` (window planning and conflict
+  /// replanning). Returns false on rejection. DP evaluations are counted
+  /// into *evals.
+  bool PlanSequential(const Request& r, double now,
+                      const std::vector<WorkerId>& candidates, Proposal* out,
+                      std::int64_t* evals);
+  /// The window = 0 / singleton-batch path: filter + the shared
   /// sequential scan + apply. No shard rebuild, no footprint machinery.
   void PlanAndApplySingle(const Request& r, double now);
   /// Stages 1-2 of a window: prep, Rebuild, parallel per-request
@@ -125,7 +127,7 @@ class DispatchWindowPlanner : public BatchPlanner {
   /// (post-Rebuild).
   void BuildAcceptSchedule();
   /// Stage 3: the footprint-ordered apply, fanned out on the pool.
-  void CommitBatch(WindowEpoch epoch);
+  void CommitBatch(double now, WindowEpoch epoch);
 
   PlanningContext* ctx_;
   Fleet* fleet_;

@@ -58,7 +58,7 @@ void Fleet::CommitFront(WorkerId w) {
   // Callers either run on the driver thread (AdvanceTo/FinishAll) or hold
   // the worker's shard lock (Touch in shard-safe mode): the route, the
   // per-worker commit log and distance total need no further locking here.
-  // The cross-shard commit state does.
+  // The cross-shard commit state (grid index, arrival heap) does.
   const auto ws = static_cast<std::size_t>(w);
   Route& rt = routes_[ws];
   assert(!rt.empty());
@@ -67,11 +67,6 @@ void Fleet::CommitFront(WorkerId w) {
   const Stop stop = rt.PopFront();
   commit_log_[ws].push_back({stop, rt.anchor_time()});
   const std::unique_lock<std::mutex> lock = MaybeLockCommit();
-  if (stop.kind == StopKind::kPickup) {
-    pickup_time_[stop.request] = rt.anchor_time();
-  } else {
-    dropoff_time_[stop.request] = rt.anchor_time();
-  }
   if (index_ != nullptr) index_->Move(w, from, anchor_point(w));
   PushHeap(w);
 }
@@ -130,14 +125,21 @@ WorkerId Fleet::AssignedWorker(RequestId r) const {
   return it == assignment_.end() ? kInvalidWorker : it->second;
 }
 
+double Fleet::CommittedStopTime(RequestId r, StopKind kind) const {
+  const WorkerId w = AssignedWorker(r);
+  if (w == kInvalidWorker) return kInf;
+  for (const CommittedStop& c : CommitLog(w)) {
+    if (c.stop.request == r && c.stop.kind == kind) return c.time;
+  }
+  return kInf;
+}
+
 double Fleet::PickupTime(RequestId r) const {
-  auto it = pickup_time_.find(r);
-  return it == pickup_time_.end() ? kInf : it->second;
+  return CommittedStopTime(r, StopKind::kPickup);
 }
 
 double Fleet::DropoffTime(RequestId r) const {
-  auto it = dropoff_time_.find(r);
-  return it == dropoff_time_.end() ? kInf : it->second;
+  return CommittedStopTime(r, StopKind::kDropoff);
 }
 
 double Fleet::committed_distance() const {

@@ -23,10 +23,11 @@ class FleetShards;
 /// Motion model (matching the paper's simulation): a worker follows its
 /// planned schedule; its position is resolved at stop granularity. When the
 /// simulated clock passes a stop's scheduled arrival, the stop is
-/// *committed* — it becomes the new route anchor, pickups/drop-offs are
-/// recorded, and the grid index is updated. Workers with empty routes idle
-/// in place; their anchor time is bumped to "now" before planning so no
-/// schedule can depart in the past.
+/// *committed* — it becomes the new route anchor, it is appended to the
+/// worker's commit log (the pickup and drop-off record), and the grid
+/// index is updated. Workers with empty routes idle in place; their anchor
+/// time is bumped to "now" (Touch) before an insertion is planned on them,
+/// so no schedule can depart in the past.
 class Fleet {
  public:
   Fleet(std::vector<Worker> workers, const RoadNetwork* graph);
@@ -38,7 +39,7 @@ class Fleet {
   /// Switches the fleet into shard-safe mode (nullptr switches back):
   /// Touch, ApplyInsertion, ReplaceRoute and CachedState serialize on the
   /// worker's mutex stripe, and the cross-shard state a commit mutates
-  /// (arrival heap, grid index, pickup/drop-off records) goes behind one
+  /// (arrival heap, grid index, assignment records) goes behind one
   /// commit mutex — so the dispatch-window engine's parallel planning and
   /// commit tasks may plan and mutate overlapping worker sets from pool
   /// threads concurrently. With no shards attached (the default) every
@@ -64,15 +65,16 @@ class Fleet {
   /// candidate. Equivalent to a fresh BuildRouteState at every call.
   ///
   /// Thread-safety: calls for *distinct* workers may run concurrently
-  /// (each worker owns its slot; the planners' parallel phases touch every
-  /// candidate exactly once per loop). Without attached shards, calls for
-  /// the same worker must be externally ordered — in the planners that
-  /// holds because the fleet is frozen between Touch and ApplyInsertion,
-  /// so after the decision phase warms a worker's entry, later calls are
-  /// pure reads. With shards attached (dispatch-window engine), the
-  /// check-and-rebuild is serialized on the worker's shard mutex, so
-  /// concurrent requests sharing a candidate may both call this; the
-  /// returned reference stays valid while the route's version is stable.
+  /// (each worker owns its slot). Without attached shards, calls for the
+  /// same worker must be externally ordered — the sequential planning
+  /// scan (PlanRequestSequential) is: its decision phase builds the states
+  /// of busy candidates, and its planning phase builds an idle worker's
+  /// state right after touching it, the one route write between the
+  /// decision phase and ApplyInsertion. With shards attached
+  /// (dispatch-window engine), the check-and-rebuild is serialized on the
+  /// worker's shard mutex, so concurrent requests sharing a candidate may
+  /// both call this; the returned reference stays valid while the route's
+  /// version is stable.
   const RouteState& CachedState(WorkerId w, PlanningContext* ctx);
   const Point& anchor_point(WorkerId w) const {
     return graph_->coord(route(w).anchor());
@@ -83,7 +85,12 @@ class Fleet {
   void AdvanceTo(double t);
 
   /// Ensures worker `w` can be planned at time `t`: commits its due stops
-  /// and, if idle, moves its clock forward to `t`.
+  /// and, if idle, moves its clock forward to `t` (a version bump when the
+  /// clock moves). After AdvanceTo(t) only the idle clock can move, so the
+  /// sequential planning scan touches just the idle workers it evaluates
+  /// (their bounds need no touch, IdleDecisionLowerBound); the
+  /// dispatch-window prep and the baseline planners touch every
+  /// candidate.
   void Touch(WorkerId w, double t);
 
   /// Applies an insertion (pickup after position i, drop-off after j) to
@@ -102,7 +109,9 @@ class Fleet {
 
   /// Worker assigned to a request, or kInvalidWorker.
   WorkerId AssignedWorker(RequestId r) const;
-  /// Recorded pickup / drop-off times (kInf when the event never happened).
+  /// Committed pickup / drop-off times, read from the assigned worker's
+  /// commit log (kInf when the request is unassigned or the stop is not
+  /// committed yet).
   double PickupTime(RequestId r) const;
   double DropoffTime(RequestId r) const;
 
@@ -132,6 +141,8 @@ class Fleet {
  private:
   void CommitFront(WorkerId w);
   void PushHeap(WorkerId w);
+  /// Time of `r`'s committed stop of `kind`, or kInf.
+  double CommittedStopTime(RequestId r, StopKind kind) const;
   /// Shard lock of worker `w` when shards are attached, else a no-op lock.
   std::unique_lock<std::mutex> MaybeLockShard(WorkerId w);
   /// Commit lock (heap/index/records) when sharded, else no-op.
@@ -163,8 +174,6 @@ class Fleet {
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
 
   std::unordered_map<RequestId, WorkerId> assignment_;
-  std::unordered_map<RequestId, double> pickup_time_;
-  std::unordered_map<RequestId, double> dropoff_time_;
   std::vector<std::vector<CommittedStop>> commit_log_;
   std::vector<double> committed_by_worker_;  // slot w ↔ routes_[w]
 };

@@ -217,12 +217,12 @@ SimReport Simulation::Run(const PlannerFactory& factory) {
   double wait_sum = 0.0, detour_sum = 0.0;
   for (std::size_t idx = 0; idx < requests_->size(); ++idx) {
     const Request& r = (*requests_)[idx];
-    const bool ok = fleet_->DropoffTime(r.id) < kInf;
+    const double dropoff = fleet_->DropoffTime(r.id);
+    const bool ok = dropoff < kInf;
     served_[idx] = ok;
     if (ok) {
       ++report.served_requests;
       const double pickup = fleet_->PickupTime(r.id);
-      const double dropoff = fleet_->DropoffTime(r.id);
       wait_sum += std::max(0.0, pickup - r.release_time);
       const double direct = ctx.DirectDist(r.id);
       if (direct > 1e-9) detour_sum += (dropoff - pickup) / direct;
@@ -258,6 +258,8 @@ SimReport Simulation::Run(const PlannerFactory& factory) {
   report.p95_response_ms = response_ms.Percentile(95);
   report.p99_response_ms = response_ms.Percentile(99);
   report.max_response_ms = response_ms.max();
+  // The report keeps the samples for pooling, not for more Adds.
+  response_ms.Compact();
   report.distance_queries = billing_->query_count();
   report.index_memory_bytes = planner->index_memory_bytes();
   report.wall_seconds = SecondsSince(t0);

@@ -59,6 +59,11 @@ class StatsAccumulator {
   /// when empty.
   double Percentile(double p) const;
 
+  /// Frees the digest's ingest buffer once no more samples will come
+  /// (TDigest::Compact): every statistic above, percentiles included,
+  /// stays bit-identical.
+  void Compact() { digest_.Compact(); }
+
   /// The underlying sketch (tests and stage-timing aggregation).
   const obs::TDigest& digest() const { return digest_; }
 

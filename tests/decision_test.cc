@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "src/core/decision.h"
 #include "src/insertion/insertion.h"
+#include "src/sim/fleet.h"
 #include "tests/test_util.h"
 
 namespace urpsm {
@@ -135,6 +139,74 @@ TEST(DecisionColumnTest, ColumnPathBitIdenticalToReferenceFuzz) {
   EXPECT_EQ(compared, 400);
   EXPECT_GT(finite, 50);     // the fuzz really exercised feasible bounds
   EXPECT_GT(cutoff_hit, 20);  // ...and the deadline-cutoff gather
+}
+
+TEST(IdleDecisionBoundTest, ClosedFormBitIdenticalToTouchedDpFuzz) {
+  // An idle worker's closed-form bound, taken on the untouched route, must
+  // equal the DP's bound on the route Fleet::Touch(w, now) leaves — bit
+  // for bit, since the planner's scan order depends on it. The fuzz
+  // covers anchors all over the grid, anchor clocks behind, at and ahead
+  // of `now`, capacities on both sides of the request's, and deadlines on
+  // both sides of feasibility, the exact boundary and the next double
+  // below it included.
+  TestEnv env(MakeGridGraph(12, 12, 0.7));
+  Rng rng(131);
+  int finite = 0, capacity_inf = 0, deadline_inf = 0, boundary = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    const Worker worker{0, rng.UniformInt(0, 143), rng.UniformInt(1, 4)};
+    Fleet fleet({worker}, &env.graph());
+    const double now = rng.Uniform(0.0, 500.0);
+    // Mostly behind `now`, as after AdvanceTo; sometimes at or ahead.
+    const int clock = iter % 10;
+    const double anchor_time = clock == 0   ? now
+                               : clock == 1 ? now + rng.Uniform(0.0, 5.0)
+                                            : now - rng.Uniform(0.0, 60.0);
+    fleet.Touch(0, anchor_time);
+    const VertexId o = rng.UniformInt(0, 143);
+    VertexId d = rng.UniformInt(0, 143);
+    if (d == o) d = (d + 1) % 144;
+    const Point po = env.graph().coord(o);
+    const double euc =
+        EuclideanDistance(env.graph().coord(worker.initial_location), po) /
+        MaxSpeedKmPerMin();
+    const double t0 = std::max(fleet.route(0).anchor_time(), now);
+    // Deadline: loose, tight, hopeless, or exactly on the feasibility edge
+    // (computed with the bound's own expression) and one ulp below it.
+    const Request probe0 = env.AddRequest(o, d, now, 1e9, 10.0, 1);
+    const double L = env.ctx()->DirectDist(probe0.id);
+    const double edge = t0 + euc + L;
+    double deadline = 0.0;
+    switch (iter % 5) {
+      case 0: deadline = edge; break;
+      case 1: deadline = std::nextafter(edge, 0.0); break;
+      case 2: deadline = edge + rng.Uniform(0.0, 30.0); break;
+      case 3: deadline = edge - rng.Uniform(0.0, 30.0); break;
+      default: deadline = now + rng.Uniform(0.0, 1e4); break;
+    }
+    Request r = probe0;
+    r.deadline = deadline;
+    r.capacity = rng.UniformInt(1, 5);
+
+    const double closed = IdleDecisionLowerBound(worker, fleet.route(0), r, L,
+                                                 now, env.graph());
+    fleet.Touch(0, now);
+    const Route& touched = fleet.route(0);
+    const RouteState st = BuildRouteState(touched, env.ctx());
+    const double dp =
+        DecisionLowerBound(worker, touched, st, r, L, env.graph());
+    EXPECT_EQ(closed, dp) << "iter " << iter;
+    if (closed < kInf) ++finite;
+    if (worker.capacity < r.capacity) {
+      ++capacity_inf;
+    } else if (closed == kInf) {
+      ++deadline_inf;
+    }
+    if (iter % 5 == 0 && closed < kInf) ++boundary;
+  }
+  EXPECT_GT(finite, 150);        // feasible bounds were compared
+  EXPECT_GT(capacity_inf, 60);   // ...and capacity rejections
+  EXPECT_GT(deadline_inf, 100);  // ...and deadline rejections
+  EXPECT_GT(boundary, 40);       // the exact edge is feasible
 }
 
 }  // namespace

@@ -72,6 +72,59 @@ TEST_F(FleetTest, TouchCommitsDueStopsForOneWorker) {
   EXPECT_EQ(fleet.route(0).size(), 1);
 }
 
+TEST_F(FleetTest, StopTimesReadTheCommitLogUnderGappyIds) {
+  // Pickup and drop-off times come from the assigned worker's commit log:
+  // ids need not be dense, and a request that is unassigned, or assigned
+  // but not yet committed, reads kInf — mid-run and after FinishAll.
+  const double e = EdgeMin();
+  Fleet fleet = MakeFleet();
+  const auto make = [](RequestId id, VertexId o, VertexId d) {
+    Request r;
+    r.id = id;
+    r.origin = o;
+    r.destination = d;
+    r.deadline = 1e9;
+    return r;
+  };
+  const Request far = make(1'000'003, 2, 5);  // worker 0: 2e, 5e
+  const Request near = make(7, 8, 6);         // worker 1: 1e, 3e
+  const Request later = make(42, 6, 7);       // worker 0 after far: 6e, 7e
+  const RequestId never = 5;
+  fleet.ApplyInsertion(0, far, 0, 0, env_.oracle());
+  fleet.ApplyInsertion(1, near, 0, 0, env_.oracle());
+  fleet.ApplyInsertion(0, later, 2, 2, env_.oracle());
+
+  fleet.AdvanceTo(2.5 * e);
+  EXPECT_DOUBLE_EQ(fleet.PickupTime(far.id), 2 * e);
+  EXPECT_EQ(fleet.DropoffTime(far.id), kInf);
+  EXPECT_DOUBLE_EQ(fleet.PickupTime(near.id), 1 * e);
+  EXPECT_EQ(fleet.DropoffTime(near.id), kInf);
+  EXPECT_EQ(fleet.PickupTime(later.id), kInf);  // assigned, not committed
+  EXPECT_EQ(fleet.DropoffTime(later.id), kInf);
+  EXPECT_EQ(fleet.PickupTime(never), kInf);
+  EXPECT_EQ(fleet.DropoffTime(never), kInf);
+
+  fleet.AdvanceTo(5.5 * e);
+  EXPECT_DOUBLE_EQ(fleet.DropoffTime(far.id), 5 * e);
+  EXPECT_DOUBLE_EQ(fleet.DropoffTime(near.id), 3 * e);
+  EXPECT_EQ(fleet.PickupTime(later.id), kInf);
+
+  fleet.FinishAll();
+  EXPECT_DOUBLE_EQ(fleet.PickupTime(far.id), 2 * e);
+  EXPECT_DOUBLE_EQ(fleet.DropoffTime(far.id), 5 * e);
+  EXPECT_DOUBLE_EQ(fleet.PickupTime(later.id), 6 * e);
+  EXPECT_DOUBLE_EQ(fleet.DropoffTime(later.id), 7 * e);
+  EXPECT_EQ(fleet.PickupTime(never), kInf);
+  EXPECT_EQ(fleet.DropoffTime(never), kInf);
+  // Each time is the logged commit time, bit for bit.
+  for (const auto& c : fleet.CommitLog(0)) {
+    const double t = c.stop.kind == StopKind::kPickup
+                         ? fleet.PickupTime(c.stop.request)
+                         : fleet.DropoffTime(c.stop.request);
+    EXPECT_EQ(t, c.time);
+  }
+}
+
 TEST_F(FleetTest, FinishAllFlushesEverything) {
   Fleet fleet = MakeFleet();
   const Request r1 = env_.AddRequest(2, 5, 0.0, 1e9);

@@ -1,68 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <list>
-#include <map>
 #include <set>
 #include <unordered_map>
 
 #include "src/index/grid_index.h"
 #include "src/sim/fleet.h"
 #include "src/sim/metrics.h"
-#include "src/util/lru_cache.h"
 #include "tests/test_util.h"
 
 namespace urpsm {
 namespace {
 
-/// Reference LRU built on std::list + std::map, compared operation by
-/// operation against the production cache under a random op stream.
-class ReferenceLru {
- public:
-  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
-  std::optional<int> Get(int key) {
-    auto it = std::find_if(items_.begin(), items_.end(),
-                           [&](const auto& kv) { return kv.first == key; });
-    if (it == items_.end()) return std::nullopt;
-    items_.splice(items_.begin(), items_, it);
-    return it->second;
-  }
-  void Put(int key, int value) {
-    if (capacity_ == 0) return;
-    auto it = std::find_if(items_.begin(), items_.end(),
-                           [&](const auto& kv) { return kv.first == key; });
-    if (it != items_.end()) {
-      it->second = value;
-      items_.splice(items_.begin(), items_, it);
-      return;
-    }
-    if (items_.size() >= capacity_) items_.pop_back();
-    items_.emplace_front(key, value);
-  }
-
- private:
-  std::size_t capacity_;
-  std::list<std::pair<int, int>> items_;
-};
-
 class FuzzSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(FuzzSweep, LruMatchesReference) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 1);
-  const std::size_t capacity = static_cast<std::size_t>(rng.UniformInt(1, 8));
-  LruCache<int, int> cache(capacity);
-  ReferenceLru ref(capacity);
-  for (int op = 0; op < 3000; ++op) {
-    const int key = rng.UniformInt(0, 12);  // small key space forces churn
-    if (rng.Bernoulli(0.5)) {
-      const int value = rng.UniformInt(0, 1000);
-      cache.Put(key, value);
-      ref.Put(key, value);
-    } else {
-      EXPECT_EQ(cache.Get(key), ref.Get(key)) << "op " << op;
-    }
-  }
-}
 
 TEST_P(FuzzSweep, GridIndexMatchesBruteForce) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7243 + 5);

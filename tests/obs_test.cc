@@ -112,6 +112,42 @@ TEST(ObsTDigestTest, IdenticalHistoriesProduceIdenticalSketches) {
             static_cast<std::size_t>(2 * da.compression()));
 }
 
+TEST(ObsTDigestTest, CompactKeepsEveryAnswerBitIdentical) {
+  // A finished run's report compacts its latency digest: the buffered
+  // points move into the centroid list as they are and the ingest buffer
+  // is freed. Every percentile must stay bit-identical and count, sum,
+  // min, max and the total weight exact — at sizes below, at and past
+  // the buffer flush (4 * compression = 1,600 points).
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{10},
+                              std::size_t{1599}, std::size_t{1600},
+                              std::size_t{1601}, std::size_t{6000},
+                              std::size_t{20'800}}) {
+    SCOPED_TRACE(n);
+    StatsAccumulator live;
+    for (double x : MixtureSamples(n, 31)) live.Add(x);
+    StatsAccumulator compact = live;
+    compact.Compact();
+    EXPECT_EQ(compact.count(), live.count());
+    EXPECT_EQ(compact.sum(), live.sum());
+    EXPECT_EQ(compact.min(), live.min());
+    EXPECT_EQ(compact.max(), live.max());
+    EXPECT_EQ(compact.digest().total_weight(), live.digest().total_weight());
+    for (int k = 0; k <= 1000; ++k) {
+      const double q = k / 1000.0;
+      EXPECT_EQ(compact.digest().Quantile(q), live.digest().Quantile(q))
+          << "q " << q;
+    }
+    for (double p : {1.0, 50.0, 95.0, 99.0, 99.9}) {
+      EXPECT_EQ(compact.Percentile(p), live.Percentile(p)) << "p" << p;
+    }
+    // A compacted sketch still takes samples and pools.
+    compact.Add(1.0);
+    StatsAccumulator pooled;
+    pooled.Merge(compact);
+    EXPECT_EQ(pooled.count(), n + 1);
+  }
+}
+
 TEST(ObsTDigestTest, MergeIsDeterministic) {
   StatsAccumulator a;
   StatsAccumulator b;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
+#include <vector>
+
+#include "src/core/decision.h"
 #include "src/core/planner.h"
 #include "src/sim/simulator.h"
 #include "src/workload/city.h"
@@ -130,6 +135,161 @@ TEST(PlannerEquivalenceTest, PruningIsLossless) {
         << seed;
     EXPECT_EQ(served_pruned, sim_plain.served()) << seed;
     EXPECT_LE(pruned.distance_queries, plain.distance_queries) << seed;
+  }
+}
+
+TEST(SortByLowerBoundTest, SamePermutationAsIndexSortWithTies) {
+  // Sorting the bounds in place must give the permutation of an index
+  // sort over them: introsort makes the same comparisons and moves on the
+  // same positions either way. Ties matter — they decide the winner
+  // among equal exact costs. Few distinct values make long tie runs;
+  // lengths cross the insertion-sort threshold and go up to a full fleet.
+  Rng rng(2024);
+  int tied = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const int n = iter < 3 ? iter : rng.UniformInt(0, 700);
+    std::vector<double> values(
+        static_cast<std::size_t>(rng.UniformInt(1, 6)));
+    for (double& v : values) v = rng.Uniform(0.0, 20.0);
+    std::vector<WorkerBound> bounds(static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) {
+      const int pick = rng.UniformInt(0, static_cast<int>(values.size()) - 1);
+      bounds[static_cast<std::size_t>(k)] = {
+          k, values[static_cast<std::size_t>(pick)]};
+    }
+    // Reference: an index sort with the same comparator.
+    std::vector<std::size_t> order(bounds.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return bounds[a].lower_bound < bounds[b].lower_bound;
+    });
+    std::vector<WorkerBound> sorted = bounds;
+    SortByLowerBound(&sorted);
+    ASSERT_EQ(sorted.size(), order.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      EXPECT_EQ(sorted[k].worker, bounds[order[k]].worker)
+          << "iter " << iter << " n=" << n << " k=" << k;
+      EXPECT_EQ(sorted[k].lower_bound, bounds[order[k]].lower_bound);
+    }
+    if (n > 16 && values.size() < static_cast<std::size_t>(n)) ++tied;
+  }
+  EXPECT_GT(tied, 250);
+}
+
+/// Two identical worlds, each with its own oracle so billed queries
+/// compare one to one.
+struct TwinWorld {
+  explicit TwinWorld(const std::vector<Worker>& workers)
+      : env(MakeGridGraph(12, 12, 0.6)), fleet(workers, &env.graph()) {}
+  TestEnv env;
+  Fleet fleet;
+};
+
+TEST(PlanRequestSequentialTest, UntouchedIdleFleetPlansLikePreTouched) {
+  // An idle candidate's bound is closed-form, and the scan touches only
+  // the idle workers it evaluates. Planning a day on a fleet nobody
+  // touches must pick the same worker, positions and delta, bill the same
+  // queries and run the same evaluations as on a twin whose candidates
+  // are all touched before each scan — and write only to the evaluated
+  // idle workers.
+  for (const bool pruning : {true, false}) {
+    SCOPED_TRACE(pruning ? "pruneGreedyDP" : "GreedyDP");
+    Rng rng(pruning ? 71 : 73);
+    std::vector<Worker> workers;
+    for (WorkerId w = 0; w < 40; ++w) {
+      workers.push_back({w, rng.UniformInt(0, 143), rng.UniformInt(1, 4)});
+    }
+    TwinWorld lazy(workers);
+    TwinWorld touched(workers);
+    std::vector<WorkerId> candidates(workers.size());
+    std::iota(candidates.begin(), candidates.end(), WorkerId{0});
+    PlannerConfig config;
+    config.use_pruning = pruning;
+
+    double now = 0.0;
+    int served = 0, idle_touches = 0;
+    for (int step = 0; step < 250; ++step) {
+      now += rng.Uniform(0.0, 0.6);
+      const VertexId o = rng.UniformInt(0, 143);
+      VertexId d = rng.UniformInt(0, 143);
+      if (d == o) d = (d + 1) % 144;
+      const double deadline = now + rng.Uniform(4.0, 25.0);
+      const double penalty = rng.Uniform(2.0, 40.0);
+      const int capacity = rng.UniformInt(1, 3);
+      const Request r =
+          lazy.env.AddRequest(o, d, now, deadline, penalty, capacity);
+      touched.env.AddRequest(o, d, now, deadline, penalty, capacity);
+
+      lazy.fleet.AdvanceTo(now);
+      touched.fleet.AdvanceTo(now);
+      for (const WorkerId w : candidates) touched.fleet.Touch(w, now);
+
+      // Expected writes on the lazy side: the idle workers among the
+      // first `evals` entries of the scan order, whose clock is behind.
+      std::vector<std::uint64_t> versions;
+      std::vector<bool> idle_behind;  // empty route, clock before `now`
+      std::vector<WorkerBound> expected_order;
+      const double L_lazy = lazy.env.ctx()->DirectDist(r.id);
+      const double L_touched = touched.env.ctx()->DirectDist(r.id);
+      for (const WorkerId w : candidates) {
+        const Route& rt = lazy.fleet.route(w);
+        versions.push_back(rt.version());
+        idle_behind.push_back(rt.empty() && rt.anchor_time() < now);
+        const double lb =
+            rt.empty()
+                ? IdleDecisionLowerBound(workers[w], rt, r, L_lazy, now,
+                                         lazy.env.graph())
+                : DecisionLowerBound(workers[w], rt,
+                                     BuildRouteState(rt, lazy.env.ctx()), r,
+                                     L_lazy, lazy.env.graph());
+        if (lb < kInf) expected_order.push_back({w, lb});
+      }
+      SortByLowerBound(&expected_order);
+
+      const std::int64_t q_lazy = lazy.env.oracle()->query_count();
+      const std::int64_t q_touched = touched.env.oracle()->query_count();
+      InsertionCandidate best_lazy, best_touched;
+      std::int64_t evals_lazy = 0, evals_touched = 0;
+      const WorkerId w_lazy = PlanRequestSequential(
+          lazy.env.ctx(), &lazy.fleet, config, r, L_lazy, now, candidates,
+          &best_lazy, &evals_lazy);
+      const WorkerId w_touched = PlanRequestSequential(
+          touched.env.ctx(), &touched.fleet, config, r, L_touched, now,
+          candidates, &best_touched, &evals_touched);
+      ASSERT_EQ(w_lazy, w_touched) << "step " << step;
+      EXPECT_EQ(evals_lazy, evals_touched) << "step " << step;
+      EXPECT_EQ(lazy.env.oracle()->query_count() - q_lazy,
+                touched.env.oracle()->query_count() - q_touched)
+          << "step " << step;
+
+      std::vector<bool> evaluated(workers.size(), false);
+      ASSERT_LE(evals_lazy, static_cast<std::int64_t>(expected_order.size()));
+      for (std::int64_t k = 0; k < evals_lazy; ++k) {
+        evaluated[expected_order[static_cast<std::size_t>(k)].worker] = true;
+      }
+      for (const WorkerId w : candidates) {
+        const bool moved = lazy.fleet.route(w).version() != versions[w];
+        EXPECT_EQ(moved, evaluated[w] && idle_behind[w])
+            << "step " << step << " worker " << w;
+        if (moved) ++idle_touches;
+      }
+
+      if (w_lazy == kInvalidWorker) continue;
+      EXPECT_EQ(best_lazy.i, best_touched.i);
+      EXPECT_EQ(best_lazy.j, best_touched.j);
+      EXPECT_EQ(best_lazy.delta, best_touched.delta);
+      lazy.fleet.ApplyInsertion(w_lazy, r, best_lazy.i, best_lazy.j,
+                                lazy.env.oracle());
+      touched.fleet.ApplyInsertion(w_touched, r, best_touched.i,
+                                   best_touched.j, touched.env.oracle());
+      ++served;
+    }
+    lazy.fleet.FinishAll();
+    touched.fleet.FinishAll();
+    EXPECT_EQ(lazy.fleet.committed_distance(),
+              touched.fleet.committed_distance());
+    EXPECT_GT(served, 60);
+    EXPECT_GT(idle_touches, 20);
   }
 }
 

@@ -112,6 +112,20 @@ TEST(SimulatorTest, ProcessedRequestsCoversFullRunWithoutTimeout) {
   EXPECT_EQ(rep.processed_requests, rep.total_requests);
 }
 
+TEST(SimulatorTest, ReportPercentilesMatchItsCompactedDigest) {
+  // Run fills the latency fields, then compacts the retained digest; the
+  // fields and the digest must still agree bit for bit.
+  SimFixture f(5, 10, 80);
+  Simulation sim(&f.graph, &f.oracle, f.workers, &f.requests, SimOptions{});
+  const SimReport rep = sim.Run(MakePruneGreedyDpFactory({}));
+  EXPECT_EQ(rep.response_stats.count(), 80u);
+  EXPECT_EQ(rep.p50_response_ms, rep.response_stats.Percentile(50));
+  EXPECT_EQ(rep.p95_response_ms, rep.response_stats.Percentile(95));
+  EXPECT_EQ(rep.p99_response_ms, rep.response_stats.Percentile(99));
+  EXPECT_EQ(rep.max_response_ms, rep.response_stats.max());
+  EXPECT_EQ(rep.avg_response_ms, rep.response_stats.mean());
+}
+
 TEST(SimulatorTest, TimedOutRunSkipsUnboundedFinalize) {
   // The batch baseline defers every assignment to Finalize-time flushes.
   // With the wall limit already exceeded, Finalize(0) must NOT plan the

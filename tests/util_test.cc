@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/obs/tdigest.h"
-#include "src/util/lru_cache.h"
 #include "src/util/rng.h"
 #include "src/util/scratch.h"
 #include "src/util/stats.h"
@@ -15,61 +14,6 @@
 
 namespace urpsm {
 namespace {
-
-TEST(LruCacheTest, MissOnEmpty) {
-  LruCache<int, int> cache(4);
-  EXPECT_FALSE(cache.Get(1).has_value());
-  EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.hits(), 0);
-}
-
-TEST(LruCacheTest, PutThenGet) {
-  LruCache<int, std::string> cache(4);
-  cache.Put(1, "a");
-  auto hit = cache.Get(1);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, "a");
-  EXPECT_EQ(cache.hits(), 1);
-}
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  ASSERT_TRUE(cache.Get(1).has_value());  // 1 becomes MRU
-  cache.Put(3, 30);                       // evicts 2
-  EXPECT_FALSE(cache.Get(2).has_value());
-  EXPECT_TRUE(cache.Get(1).has_value());
-  EXPECT_TRUE(cache.Get(3).has_value());
-}
-
-TEST(LruCacheTest, PutRefreshesExistingKey) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Put(1, 11);  // refresh: 1 becomes MRU, size stays 2
-  cache.Put(3, 30);  // evicts 2
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(*cache.Get(1), 11);
-  EXPECT_FALSE(cache.Get(2).has_value());
-}
-
-TEST(LruCacheTest, ZeroCapacityDisablesCaching) {
-  LruCache<int, int> cache(0);
-  cache.Put(1, 10);
-  EXPECT_FALSE(cache.Get(1).has_value());
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(LruCacheTest, ClearKeepsCounters) {
-  LruCache<int, int> cache(4);
-  cache.Put(1, 10);
-  cache.Get(1);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_FALSE(cache.Get(1).has_value());
-}
 
 TEST(RngTest, DeterministicForSeed) {
   Rng a(42), b(42);

@@ -4,7 +4,6 @@
 
 #include "src/core/decision.h"
 #include "src/insertion/insertion.h"
-#include "src/util/scratch.h"
 
 namespace urpsm {
 
@@ -61,7 +60,6 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
   // evaluates it. A busy worker's state comes from the fleet's per-worker
   // cache (keyed on Route::version).
   thread_local std::vector<WorkerBound> bounds;
-  thread_local HighWaterClamp bounds_clamp;
   bounds.clear();
   double min_lb = kInf;
   for (const WorkerId w : candidates) {
@@ -76,7 +74,6 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
     bounds.push_back({w, lb});
     min_lb = std::min(min_lb, lb);
   }
-  bounds_clamp.Observe(&bounds);
   if (bounds.empty()) return kInvalidWorker;
   // Line 5 of Algo. 4: reject when the penalty is cheaper than even the
   // optimistic cost of serving.
@@ -103,12 +100,9 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
   // candidates cut off by Lemma 8 still pay no queries.
   const bool batch_gather = !config.use_pruning;
   thread_local std::vector<DistanceColumns> multi_cols;
-  thread_local HighWaterClamp multi_cols_clamp;
   if (batch_gather) {
     thread_local std::vector<const Route*> batch_routes;
     thread_local std::vector<int> batch_cutoffs;
-    thread_local HighWaterClamp batch_routes_clamp;
-    thread_local HighWaterClamp batch_cutoffs_clamp;
     batch_routes.clear();
     batch_cutoffs.clear();
     for (const WorkerBound& b : bounds) {
@@ -117,9 +111,6 @@ WorkerId PlanRequestSequential(PlanningContext* ctx, Fleet* fleet,
     }
     GatherDistanceColumnsMulti(batch_routes, batch_cutoffs, r, ctx,
                                &multi_cols);
-    batch_routes_clamp.Observe(&batch_routes);
-    batch_cutoffs_clamp.Observe(&batch_cutoffs);
-    multi_cols_clamp.Observe(&multi_cols);
   }
 
   WorkerId best_worker = kInvalidWorker;

@@ -1,7 +1,5 @@
 #include "src/obs/registry.h"
 
-#include <cstdio>
-
 namespace urpsm::obs {
 
 namespace {
@@ -11,12 +9,6 @@ namespace {
 /// recycled address) can never be dereferenced — the uid mismatch
 /// forces a fresh lookup.
 std::atomic<std::uint64_t> g_registry_uid{1};
-
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  *out += buf;
-}
 
 }  // namespace
 
@@ -50,8 +42,6 @@ StatsAccumulator Histogram::Snapshot() const {
 Registry::Registry(bool enabled)
     : enabled_(enabled),
       uid_(g_registry_uid.fetch_add(1, std::memory_order_relaxed)) {}
-
-Registry::~Registry() { StopPeriodicExport(); }
 
 Counter* Registry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> l(mu_);
@@ -188,63 +178,6 @@ std::map<std::string, double> Registry::Snapshot() {
   // evaluate them with the registry mutex released (see class comment).
   for (const auto& [name, fn] : live) out[name] = fn();
   return out;
-}
-
-void Registry::StartPeriodicExport(const std::string& path, double period_s) {
-  if (!enabled_ || path.empty() || period_s <= 0.0) return;
-  if (exporter_.joinable()) return;
-  export_stop_ = false;
-  exporter_ = std::thread(&Registry::ExportLoop, this, path, period_s);
-}
-
-void Registry::StopPeriodicExport() {
-  if (!exporter_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> l(export_mu_);
-    export_stop_ = true;
-  }
-  export_cv_.notify_all();
-  exporter_.join();
-}
-
-void Registry::ExportLoop(std::string path, double period_s) {
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto write_line = [&]() {
-    const double ts_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-    const std::map<std::string, double> snap = Snapshot();
-    std::string line = "{\"ts_ms\":";
-    AppendDouble(&line, ts_ms);
-    line += ",\"metrics\":{";
-    bool first = true;
-    for (const auto& [k, v] : snap) {
-      if (!first) line += ',';
-      first = false;
-      line += '"';
-      line += k;  // metric names are our own identifiers: no escaping
-      line += "\":";
-      AppendDouble(&line, v);
-    }
-    line += "}}\n";
-    std::fputs(line.c_str(), f);
-    std::fflush(f);
-  };
-  std::unique_lock<std::mutex> l(export_mu_);
-  while (!export_stop_) {
-    const bool stopped = export_cv_.wait_for(
-        l, std::chrono::duration<double>(period_s),
-        [&]() { return export_stop_; });
-    if (stopped) break;
-    l.unlock();
-    write_line();
-    l.lock();
-  }
-  l.unlock();
-  write_line();  // final snapshot on stop
-  std::fclose(f);
 }
 
 }  // namespace urpsm::obs

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -104,7 +103,6 @@ class Histogram {
 class Registry {
  public:
   explicit Registry(bool enabled = true);
-  ~Registry();
 
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
@@ -136,14 +134,6 @@ class Registry {
   /// instrument updates.
   std::map<std::string, double> Snapshot();
 
-  /// Spawns a thread appending one JSON line of Snapshot() to `path`
-  /// every `period_s` seconds (plus a final line on stop) — the
-  /// long-serving-loop exporter. No-op when disabled or already
-  /// running.
-  void StartPeriodicExport(const std::string& path, double period_s);
-  /// Stops and joins the exporter (idempotent; also run by ~Registry).
-  void StopPeriodicExport();
-
  private:
   friend class Counter;
 
@@ -162,7 +152,6 @@ class Registry {
 
   void AddToCell(std::size_t id, std::int64_t n);
   CellBlock* GetBlockSlow();
-  void ExportLoop(std::string path, double period_s);
 
   const bool enabled_;
   const std::uint64_t uid_;  // process-unique; keys the TLS block cache
@@ -177,11 +166,6 @@ class Registry {
   std::vector<Callback> callbacks_;
   std::map<std::thread::id, std::unique_ptr<CellBlock>> thread_blocks_;
   std::map<std::size_t, std::int64_t> overflow_;  // counter id >= kCapacity
-
-  std::thread exporter_;
-  std::mutex export_mu_;
-  std::condition_variable export_cv_;
-  bool export_stop_ = false;
 };
 
 /// Null-safe increment: components hold Counter* that may be null when

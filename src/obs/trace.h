@@ -17,7 +17,7 @@ namespace urpsm::obs {
 /// nothing and TraceSpan below reduces to a null check.
 ///
 /// Events are duration Begin/End pairs ("ph":"B"/"E") or instants
-/// ("ph":"i"), with integer args (window epoch, shard id, hit/miss
+/// ("ph":"i"), with integer args (window epoch, request id, hit/miss
 /// counts, ...). Timestamps are microseconds on the steady clock
 /// relative to recorder construction, taken *before* the recorder
 /// mutex, so events of one thread appear in program order —

@@ -57,19 +57,10 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-std::int64_t ThreadPool::pending_iterations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!job_) return 0;
-  const std::int64_t cur = job_->cursor.load(std::memory_order_relaxed);
-  return cur >= job_->end ? 0 : job_->end - cur;
-}
-
 void ThreadPool::RegisterMetrics(obs::Registry* reg) {
   if (reg == nullptr || !reg->enabled()) return;
   reg->RegisterCallbackGauge(
       "pool.threads", [this] { return static_cast<double>(num_threads()); });
-  reg->RegisterCallbackGauge(
-      "pool.pending", [this] { return static_cast<double>(pending_iterations()); });
 }
 
 void ThreadPool::ParallelFor(std::int64_t begin, std::int64_t end,

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace urpsm {
@@ -22,13 +21,13 @@ class Registry;
 /// Fixed-size pool of worker threads driving self-scheduling parallel
 /// loops over index ranges.
 ///
-/// The pool exists so the per-request hot path (candidate lower bounds and
-/// exact DP insertions, each an independent pure computation over shared
-/// read-only state) can fan out without spawning threads per request.
-/// Iterations are claimed in `grain`-sized chunks off a shared atomic
-/// cursor — dynamic self-scheduling, so a thread that drew cheap
-/// candidates steals the remaining range from slower ones instead of
-/// idling at a static partition boundary.
+/// The pool exists so the dispatch-window engine can plan a window's
+/// requests (each an independent scan over the frozen, read-only fleet)
+/// concurrently without spawning threads per window. Iterations are
+/// claimed in `grain`-sized chunks off a shared atomic cursor — dynamic
+/// self-scheduling, so a thread that drew cheap requests steals the
+/// remaining range from slower ones instead of idling at a static
+/// partition boundary.
 ///
 /// `num_threads` counts the *calling* thread: a pool of size N spawns N-1
 /// workers and the caller participates in every loop, so ThreadPool(1)
@@ -45,13 +44,9 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  /// Unclaimed iterations of the current loop (0 when idle) — the pool's
-  /// instantaneous task-queue depth.
-  std::int64_t pending_iterations() const;
-
-  /// Registers pull-model gauges (pool.threads / pool.pending) on `reg`.
-  /// The pool must outlive the registry's last Snapshot (or the gauges
-  /// must be frozen first). No-op when reg is null.
+  /// Registers the pull-model gauge pool.threads on `reg`. The pool must
+  /// outlive the registry's last Snapshot (or the gauge must be frozen
+  /// first). No-op when reg is null.
   void RegisterMetrics(obs::Registry* reg);
 
   /// Arms the kPoolTaskDelay fault site: each claimed chunk may start
@@ -68,20 +63,6 @@ class ThreadPool {
   void ParallelFor(std::int64_t begin, std::int64_t end,
                    const std::function<void(std::int64_t)>& body,
                    std::int64_t grain = 1);
-
-  /// ParallelFor producing a value per index: out[i] = fn(i). T must be
-  /// default-constructible — and not bool: adjacent std::vector<bool>
-  /// bit-proxies share bytes, so concurrent per-index writes would race.
-  template <typename T, typename F>
-  std::vector<T> ParallelMap(std::int64_t n, F&& fn) {
-    static_assert(!std::is_same_v<T, bool>,
-                  "ParallelMap<bool> would race on vector<bool> bit-proxies; "
-                  "map to char/int instead");
-    std::vector<T> out(static_cast<std::size_t>(n));
-    ParallelFor(0, n,
-                [&](std::int64_t i) { out[static_cast<std::size_t>(i)] = fn(i); });
-    return out;
-  }
 
  private:
   /// One submitted loop. Workers that wake late (after the loop already
@@ -104,7 +85,7 @@ class ThreadPool {
   FaultInjector* faults_ = nullptr;
   std::vector<std::thread> workers_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable job_cv_;   // workers: a new job was published
   std::condition_variable done_cv_;  // submitter: all iterations finished
   std::uint64_t job_epoch_ = 0;      // bumped per ParallelFor submission

@@ -1,19 +1,14 @@
 #ifndef URPSM_SRC_SIM_DISPATCH_WINDOW_H_
 #define URPSM_SRC_SIM_DISPATCH_WINDOW_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/core/planner.h"
 #include "src/insertion/insertion.h"
-#include "src/parallel/fleet_shards.h"
 #include "src/parallel/thread_pool.h"
-#include "src/util/scratch.h"
 
 namespace urpsm {
 
@@ -24,50 +19,47 @@ class TraceRecorder;
 }  // namespace obs
 
 /// Batched dispatch-window engine: pruneGreedyDP lifted from per-request
-/// to per-window planning, with whole-request parallel planning and
-/// parallel shard-footprint commits.
+/// to per-window planning, with whole-request parallel planning and a
+/// serial commit.
 ///
 /// The simulation buffers every request released within one dispatch
 /// window (SimOptions::batch_window_s), advances the fleet to the window
 /// close and hands the batch over in one OnBatch call. The window then
 /// flows through:
 ///
-///   1. Prep: per request — direct distance, unservability and radius
-///      checks, grid-index candidate filter, Fleet::Touch of every
-///      candidate (first touch wins) — then one shard Rebuild, so shard
-///      membership reflects the post-advance anchors.
+///   1. Prep (loop thread): per request — direct distance, unservability
+///      and radius checks, grid-index candidate filter — then, once per
+///      distinct candidate, Fleet::Touch and Fleet::CachedState. After
+///      prep every candidate's clock is at `now` and its route-state
+///      cache entry is current.
 ///   2. Planning (parallel, one task per request): the shared sequential
 ///      decision+planning scan (PlanRequestSequential) against the
-///      frozen fleet. Requests are independent against a frozen
-///      snapshot, so the per-request winners are schedule-independent.
-///   3. Commit: proposals apply in unified-cost-then-request-id order.
-///      Proposals with disjoint *shard footprints* (the candidate
-///      shards) apply concurrently on the pool: each accepted proposal
-///      holds a per-shard sequence ticket and retires in ticket order per
-///      shard, so two proposals sharing any shard apply in the global
-///      order while disjoint ones overlap. A proposal whose worker's
+///      frozen fleet. The scan's touch of an evaluated idle worker finds
+///      nothing to write and every state lookup hits, so the stage only
+///      reads the fleet and takes no lock. Requests are independent
+///      against the frozen snapshot, so the per-request winners are
+///      schedule-independent.
+///   3. Commit (loop thread): proposals apply one at a time in
+///      unified-cost-then-request-id order. A proposal whose worker's
 ///      route changed under it (an earlier batch member won the same
 ///      worker) is replanned against the updated fleet; rejections stay
 ///      final (Def. 5).
 ///
 /// Determinism: planning is pure against the fleet snapshot the previous
-/// window left behind, decompositions depend only on structural
-/// constants (never the thread count), conflicts resolve in a total order
-/// and the parallel commit is serial-equivalent by the per-shard tickets
-/// — so for any window length the results are bit-identical across
-/// thread counts, and a window of 0 (the simulator then drives OnRequest
-/// per release) reproduces the sequential pruneGreedyDP run exactly.
+/// window left behind and the commit is a serial loop in a total order,
+/// so for any window length the results are bit-identical across thread
+/// counts, and a window of 0 (the simulator then drives OnRequest per
+/// release) reproduces the sequential pruneGreedyDP run exactly.
 class DispatchWindowPlanner : public BatchPlanner {
  public:
-  /// `pool` is borrowed and may be nullptr (phases then run inline).
+  /// `pool` is borrowed and may be nullptr (planning then runs inline).
   DispatchWindowPlanner(PlanningContext* ctx, Fleet* fleet,
                         PlannerConfig config, ThreadPool* pool);
-  ~DispatchWindowPlanner() override;
 
   /// Singleton batch at the release time — the window = 0 semantics.
   WorkerId OnRequest(const Request& r) override;
-  /// Plans and commits one window on the calling thread (fanning out on
-  /// the pool).
+  /// Plans and commits one window on the calling thread (fanning the
+  /// planning stage out on the pool).
   void OnBatch(const std::vector<RequestId>& batch, double now,
                WindowEpoch epoch) override;
   std::string_view name() const override {
@@ -106,8 +98,6 @@ class DispatchWindowPlanner : public BatchPlanner {
     bool planned = false;    // proposal holds a chosen insertion
   };
 
-  /// Runs body over [0, n) on the pool when attached, inline otherwise.
-  void ForEach(std::size_t n, const std::function<void(std::int64_t)>& body);
   /// Full sequential pruneGreedyDP pass for one request against the
   /// *current* fleet at time `now` (window planning and conflict
   /// replanning). Returns false on rejection. DP evaluations are counted
@@ -116,17 +106,12 @@ class DispatchWindowPlanner : public BatchPlanner {
                       const std::vector<WorkerId>& candidates, Proposal* out,
                       std::int64_t* evals);
   /// The window = 0 / singleton-batch path: filter + the shared
-  /// sequential scan + apply. No shard rebuild, no footprint machinery.
+  /// sequential scan + apply.
   void PlanAndApplySingle(const Request& r, double now);
-  /// Stages 1-2 of a window: prep, Rebuild, parallel per-request
-  /// planning, then BuildAcceptSchedule.
+  /// Stages 1-2 of a window: prep, then parallel per-request planning.
   void PlanBatch(const std::vector<RequestId>& batch, double now,
                  WindowEpoch epoch);
-  /// Accept filter + (delta, request) sort + shard footprints with
-  /// sequence tickets. Requires shard membership to be current
-  /// (post-Rebuild).
-  void BuildAcceptSchedule();
-  /// Stage 3: the footprint-ordered apply, fanned out on the pool.
+  /// Stage 3: the serial apply in (delta, request id) order.
   void CommitBatch(double now, WindowEpoch epoch);
 
   PlanningContext* ctx_;
@@ -134,7 +119,6 @@ class DispatchWindowPlanner : public BatchPlanner {
   PlannerConfig config_;
   ThreadPool* pool_;
   std::unique_ptr<GridIndex> index_;
-  std::unique_ptr<FleetShards> shards_;
   std::int64_t exact_evaluations_ = 0;
   std::int64_t conflict_replans_ = 0;
   // Borrowed instruments, wired from the context's registry/tracer at
@@ -143,33 +127,13 @@ class DispatchWindowPlanner : public BatchPlanner {
   obs::TraceRecorder* tracer_ = nullptr;
   obs::Counter* windows_counter_ = nullptr;
   obs::Counter* conflict_replan_counter_ = nullptr;
-  obs::Histogram* ticket_wait_hist_ = nullptr;  // commit ticket spins
   obs::Histogram* conflict_replan_hist_ = nullptr;
-  // The window workspace: buffers recycle across windows (steady state
-  // allocates nothing); the clamps trim capacity back to the recent
-  // high-water mark after an outsized window.
+  // The window workspace: buffers recycle across windows, so steady
+  // state allocates nothing.
   std::vector<Prep> preps_;
   std::vector<Proposal> proposals_;
   std::vector<std::size_t> accepted_;  // apply order (cost, then id)
-  /// Per accepted proposal: its shard footprint as (shard, sequence
-  /// ticket) pairs, ascending by shard. The parallel commit retires
-  /// footprints in ticket order per shard — proposals sharing a shard
-  /// serialize, disjoint ones overlap.
-  std::vector<std::vector<std::pair<int, std::size_t>>> footprints_;
-  HighWaterClamp preps_clamp_;
-  HighWaterClamp footprints_clamp_;
-  std::vector<std::uint8_t> touched_;         // worker-indexed
-  std::vector<std::uint8_t> shard_flag_;      // footprint dedup
-  std::vector<std::size_t> shard_seq_;        // next ticket per shard
-  std::vector<std::atomic<std::size_t>> commit_heads_;  // retired tickets
-  /// Per-accepted-index stats of the parallel apply stage, accumulated
-  /// into the counters above after the tasks join (the tasks run
-  /// concurrently, so each writes only its own index).
-  struct ApplyStats {
-    std::int64_t evals = 0;
-    std::int64_t replans = 0;
-  };
-  std::vector<ApplyStats> apply_stats_;       // per accepted index
+  std::vector<std::uint8_t> touched_;  // worker-indexed
 };
 
 /// DispatchWindowPlanner on the simulation's pool; the windowed twin of

@@ -1,8 +1,7 @@
 #include "src/sim/fleet.h"
 
 #include <cassert>
-
-#include "src/parallel/fleet_shards.h"
+#include <utility>
 
 namespace urpsm {
 
@@ -17,18 +16,7 @@ Fleet::Fleet(std::vector<Worker> workers, const RoadNetwork* graph)
   }
 }
 
-std::unique_lock<std::mutex> Fleet::MaybeLockShard(WorkerId w) {
-  if (shards_ == nullptr) return {};
-  return std::unique_lock<std::mutex>(shards_->mutex_of(w));
-}
-
-std::unique_lock<std::mutex> Fleet::MaybeLockCommit() {
-  if (shards_ == nullptr) return {};
-  return std::unique_lock<std::mutex>(commit_mu_);
-}
-
 const RouteState& Fleet::CachedState(WorkerId w, PlanningContext* ctx) {
-  const std::unique_lock<std::mutex> lock = MaybeLockShard(w);
   StateCacheEntry& entry = state_cache_[static_cast<std::size_t>(w)];
   const Route& rt = routes_[static_cast<std::size_t>(w)];
   if (!entry.valid || entry.route_version != rt.version()) {
@@ -46,8 +34,6 @@ void Fleet::AttachIndex(GridIndex* index) {
   }
 }
 
-void Fleet::AttachShards(FleetShards* shards) { shards_ = shards; }
-
 void Fleet::PushHeap(WorkerId w) {
   const Route& rt = routes_[static_cast<std::size_t>(w)];
   if (rt.empty()) return;
@@ -55,10 +41,6 @@ void Fleet::PushHeap(WorkerId w) {
 }
 
 void Fleet::CommitFront(WorkerId w) {
-  // Callers either run on the driver thread (AdvanceTo/FinishAll) or hold
-  // the worker's shard lock (Touch in shard-safe mode): the route, the
-  // per-worker commit log and distance total need no further locking here.
-  // The cross-shard commit state (grid index, arrival heap) does.
   const auto ws = static_cast<std::size_t>(w);
   Route& rt = routes_[ws];
   assert(!rt.empty());
@@ -66,7 +48,6 @@ void Fleet::CommitFront(WorkerId w) {
   committed_by_worker_[ws] += rt.leg_costs().front();
   const Stop stop = rt.PopFront();
   commit_log_[ws].push_back({stop, rt.anchor_time()});
-  const std::unique_lock<std::mutex> lock = MaybeLockCommit();
   if (index_ != nullptr) index_->Move(w, from, anchor_point(w));
   PushHeap(w);
 }
@@ -86,7 +67,6 @@ void Fleet::AdvanceTo(double t) {
 }
 
 void Fleet::Touch(WorkerId w, double t) {
-  const std::unique_lock<std::mutex> lock = MaybeLockShard(w);
   Route& rt = routes_[static_cast<std::size_t>(w)];
   while (!rt.empty() && rt.anchor_time() + rt.leg_costs().front() <= t) {
     CommitFront(w);
@@ -96,20 +76,16 @@ void Fleet::Touch(WorkerId w, double t) {
 
 void Fleet::ApplyInsertion(WorkerId w, const Request& r, int i, int j,
                            DistanceOracle* oracle) {
-  const std::unique_lock<std::mutex> shard_lock = MaybeLockShard(w);
   Route& rt = routes_[static_cast<std::size_t>(w)];
   rt.Insert(r, i, j, oracle);
-  const std::unique_lock<std::mutex> lock = MaybeLockCommit();
   assignment_[r.id] = w;
   PushHeap(w);
 }
 
 void Fleet::ReplaceRoute(WorkerId w, const Request& r, std::vector<Stop> stops,
                          DistanceOracle* oracle) {
-  const std::unique_lock<std::mutex> shard_lock = MaybeLockShard(w);
   Route& rt = routes_[static_cast<std::size_t>(w)];
   rt.SetStops(std::move(stops), oracle);
-  const std::unique_lock<std::mutex> lock = MaybeLockCommit();
   assignment_[r.id] = w;
   PushHeap(w);
 }

@@ -2,7 +2,6 @@
 #define URPSM_SRC_SIM_FLEET_H_
 
 #include <cstdint>
-#include <mutex>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -14,8 +13,6 @@
 #include "src/shortest/oracle.h"
 
 namespace urpsm {
-
-class FleetShards;
 
 /// The moving fleet: every worker's committed route, its progress along it,
 /// and the spatial index of worker anchors.
@@ -36,19 +33,6 @@ class Fleet {
   /// the caller); inserts all current anchors.
   void AttachIndex(GridIndex* index);
 
-  /// Switches the fleet into shard-safe mode (nullptr switches back):
-  /// Touch, ApplyInsertion, ReplaceRoute and CachedState serialize on the
-  /// worker's mutex stripe, and the cross-shard state a commit mutates
-  /// (arrival heap, grid index, assignment records) goes behind one
-  /// commit mutex — so the dispatch-window engine's parallel planning and
-  /// commit tasks may plan and mutate overlapping worker sets from pool
-  /// threads concurrently. With no shards attached (the default) every
-  /// call stays lock-free and the single-request contract applies.
-  /// AdvanceTo and FinishAll stay on the event-loop thread in both modes:
-  /// they walk the arrival heap unlocked and must not overlap locked
-  /// mutations.
-  void AttachShards(FleetShards* shards);
-
   int size() const { return static_cast<int>(workers_.size()); }
   const std::vector<Worker>& workers() const { return workers_; }
   const Worker& worker(WorkerId w) const {
@@ -65,16 +49,16 @@ class Fleet {
   /// candidate. Equivalent to a fresh BuildRouteState at every call.
   ///
   /// Thread-safety: calls for *distinct* workers may run concurrently
-  /// (each worker owns its slot). Without attached shards, calls for the
-  /// same worker must be externally ordered — the sequential planning
-  /// scan (PlanRequestSequential) is: its decision phase builds the states
-  /// of busy candidates, and its planning phase builds an idle worker's
-  /// state right after touching it, the one route write between the
-  /// decision phase and ApplyInsertion. With shards attached
-  /// (dispatch-window engine), the check-and-rebuild is serialized on the
-  /// worker's shard mutex, so concurrent requests sharing a candidate may
-  /// both call this; the returned reference stays valid while the route's
-  /// version is stable.
+  /// (each worker owns its slot). Calls for the same worker may overlap
+  /// only when the entry is already current, since a current entry is
+  /// only read: the dispatch-window engine builds every candidate's entry
+  /// in its serial prep, so its parallel planning tasks share workers
+  /// without a lock. Otherwise calls for one worker must be externally
+  /// ordered — the sequential planning scan (PlanRequestSequential) is:
+  /// its decision phase builds the states of busy candidates, and its
+  /// planning phase builds an idle worker's state right after touching
+  /// it. The returned reference stays valid while the route's version is
+  /// stable.
   const RouteState& CachedState(WorkerId w, PlanningContext* ctx);
   const Point& anchor_point(WorkerId w) const {
     return graph_->coord(route(w).anchor());
@@ -90,7 +74,8 @@ class Fleet {
   /// sequential planning scan touches just the idle workers it evaluates
   /// (their bounds need no touch, IdleDecisionLowerBound); the
   /// dispatch-window prep and the baseline planners touch every
-  /// candidate.
+  /// candidate. A touch that finds nothing to commit and the clock at `t`
+  /// only reads, so such calls may overlap.
   void Touch(WorkerId w, double t);
 
   /// Applies an insertion (pickup after position i, drop-off after j) to
@@ -143,10 +128,6 @@ class Fleet {
   void PushHeap(WorkerId w);
   /// Time of `r`'s committed stop of `kind`, or kInf.
   double CommittedStopTime(RequestId r, StopKind kind) const;
-  /// Shard lock of worker `w` when shards are attached, else a no-op lock.
-  std::unique_lock<std::mutex> MaybeLockShard(WorkerId w);
-  /// Commit lock (heap/index/records) when sharded, else no-op.
-  std::unique_lock<std::mutex> MaybeLockCommit();
 
   struct StateCacheEntry {
     std::uint64_t route_version = 0;
@@ -167,8 +148,6 @@ class Fleet {
   std::vector<Worker> workers_;
   const RoadNetwork* graph_;
   GridIndex* index_ = nullptr;
-  FleetShards* shards_ = nullptr;  // non-null => shard-safe mode
-  std::mutex commit_mu_;           // guards cross-shard commit state
   std::vector<Route> routes_;
   std::vector<StateCacheEntry> state_cache_;  // slot w ↔ routes_[w]
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;

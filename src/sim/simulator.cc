@@ -86,10 +86,6 @@ SimOptions ValidateSimOptions(SimOptions options,
     // sentinel so reports compare cleanly.
     options.drain_after_s = -1.0;
   }
-  if (options.metrics_snapshot_period_s <= 0.0) {
-    warn("metrics_snapshot_period_s <= 0 clamped to 1.0");
-    options.metrics_snapshot_period_s = 1.0;
-  }
   for (int i = 0; i < kNumFaultSites; ++i) {
     FaultConfig& c = options.faults.site[i];
     if (c.rate < 0.0 || c.rate > 1.0) {
@@ -179,8 +175,6 @@ SimReport Simulation::Run(const PlannerFactory& factory) {
     pool_->set_faults(faults_.get());
   }
   std::unique_ptr<RoutePlanner> planner = factory(&ctx, fleet_.get());
-  registry_->StartPeriodicExport(options_.metrics_snapshot_path,
-                                 options_.metrics_snapshot_period_s);
 
   SimReport report;
   report.algorithm = std::string(planner->name());
@@ -263,7 +257,6 @@ SimReport Simulation::Run(const PlannerFactory& factory) {
   report.distance_queries = billing_->query_count();
   report.index_memory_bytes = planner->index_memory_bytes();
   report.wall_seconds = SecondsSince(t0);
-  registry_->StopPeriodicExport();
   report.trace_enabled = tracer_->enabled();
   report.metrics = registry_->Snapshot();  // planner callbacks still live
   // The planner dies with this scope while registry_ survives as a

@@ -37,12 +37,12 @@ struct SimOptions {
   double wall_limit_seconds = 1e18;
   /// Threads available to the parallel dispatch engine
   /// (DispatchWindowPlanner), which fans one window's per-request
-  /// planning and its footprint commits across them. 1 keeps the run
-  /// fully sequential; above 1 the simulation owns a ThreadPool of this
-  /// size and exposes it via PlanningContext::thread_pool(). Sequential
-  /// planners simply ignore it. The event loop itself stays
-  /// single-threaded — requests and windows are serialized by release
-  /// time, as in the paper.
+  /// planning across them; its prep and commit stay on the loop thread.
+  /// 1 keeps the run fully sequential; above 1 the simulation owns a
+  /// ThreadPool of this size and exposes it via
+  /// PlanningContext::thread_pool(). Sequential planners simply ignore
+  /// it. The event loop itself stays single-threaded — requests and
+  /// windows are serialized by release time, as in the paper.
   int num_threads = 1;
   /// Dispatch-window length in simulated *seconds*. When > 0 and the
   /// planner implements BatchPlanner, Run() switches to the windowed
@@ -61,15 +61,10 @@ struct SimOptions {
   /// bench_hotpath's obs_overhead lines).
   bool collect_metrics = false;
   /// When non-empty, record engine spans (per-request plans, windows
-  /// with their epochs, per-proposal commits with their shards) and
+  /// with their epochs, per-proposal commits with their requests) and
   /// write Chrome trace-event JSON here at the end of the run — loadable
   /// in Perfetto or chrome://tracing. Independent of collect_metrics.
   std::string trace_path;
-  /// When non-empty (and collect_metrics is on), a background thread
-  /// appends a JSON-lines registry snapshot to this file every
-  /// metrics_snapshot_period_s seconds — the long-serving-loop exporter.
-  std::string metrics_snapshot_path;
-  double metrics_snapshot_period_s = 1.0;
   /// Overload levers of the windowed event loop (batch_window_s > 0 and
   /// a BatchPlanner; the per-request loop ignores them). All three act
   /// at window assembly and are pure functions of simulated time and the
@@ -112,7 +107,6 @@ struct SimOptions {
 /// nearest sane value with a warning on stderr:
 ///   - negative batch_window_s / wall limit / slack floor / budget -> 0
 ///   - num_threads < 1                      -> 1
-///   - metrics_snapshot_period_s <= 0       -> 1.0
 ///   - fault rates outside [0, 1] / negative delays -> clamped
 /// When `warnings` is non-null every emitted warning is also appended to
 /// it (tests assert on the messages without capturing stderr).

@@ -1,14 +1,13 @@
 // Tests for the batched dispatch-window engine and the lock-step windowed
-// event loop: FleetShards partitioning, window = 0 bit-identity with
-// sequential pruneGreedyDP at every thread count, thread-count
-// determinism of real windows, per-window invariant checks on accept- and
-// rejection-heavy workloads, a shard-conflict fuzz driving concurrent
-// Touch/ApplyInsertion on contended workers, random-workload and
-// commit-conflict fuzzes of the full loop, the overload levers (slack
+// event loop: window = 0 bit-identity with sequential pruneGreedyDP at
+// every thread count, thread-count determinism of real windows,
+// per-window invariant checks on accept- and rejection-heavy workloads, a
+// contention fuzz of the read-only planning stage (threads evaluating
+// shared workers with no lock, then the ordered apply), random-workload
+// and commit-conflict fuzzes of the full loop, the overload levers (slack
 // floor, window budget, drain), the kill switch and sub-ulp windows. The
 // suites run under tsan by the tsan preset.
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/parallel/fleet_shards.h"
 #include "src/shortest/hub_labels.h"
 #include "src/sim/dispatch_window.h"
 #include "src/sim/metrics.h"
@@ -27,48 +25,6 @@
 
 namespace urpsm {
 namespace {
-
-// ---------------------------------------------------------------- shards
-
-TEST(FleetShardsTest, EveryWorkerInExactlyOneShard) {
-  const RoadNetwork graph = MakeChengduLike(0.05, 3);
-  Rng rng(9);
-  const std::vector<Worker> workers = GenerateWorkers(graph, 37, 4.0, &rng);
-  Fleet fleet(workers, &graph);
-  Point lo, hi;
-  graph.BoundingBox(&lo, &hi);
-  FleetShards shards(&fleet, lo, hi, 4.0, 8);
-  ASSERT_EQ(shards.num_shards(), 8);
-  int total = 0;
-  for (int s = 0; s < shards.num_shards(); ++s) {
-    for (const WorkerId w : shards.workers_in(s)) {
-      EXPECT_EQ(shards.ShardOf(w), s);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, fleet.size());
-  // Shard of a worker matches the shard of its anchor region.
-  for (WorkerId w = 0; w < fleet.size(); ++w) {
-    EXPECT_EQ(shards.ShardOf(w), shards.ShardOfPoint(fleet.anchor_point(w)));
-  }
-}
-
-TEST(FleetShardsTest, RebuildTracksAnchorMovement) {
-  TestEnv env(MakeGridGraph(12, 12, 1.0));
-  std::vector<Worker> workers = {{0, 0, 4}};
-  Fleet fleet(workers, &env.graph());
-  Point lo, hi;
-  env.graph().BoundingBox(&lo, &hi);
-  FleetShards shards(&fleet, lo, hi, /*region_km=*/2.0, 16);
-  const int before = shards.ShardOf(0);
-  // Drive the worker across the map; shard follows after Rebuild.
-  const Request r = env.AddRequest(0, 143, 0.0, 1e9);
-  fleet.ApplyInsertion(0, r, 0, 0, env.oracle());
-  fleet.FinishAll();
-  shards.Rebuild();
-  EXPECT_EQ(shards.ShardOf(0), shards.ShardOfPoint(fleet.anchor_point(0)));
-  EXPECT_NE(shards.ShardOf(0), before);  // corner -> far corner region
-}
 
 // ----------------------------------------------- window=0 bit-identity
 
@@ -272,14 +228,16 @@ TEST(DispatchWindowConflictTest, SecondRequestReplansOntoUpdatedRoute) {
   EXPECT_TRUE(inv.ok) << inv.violation;
 }
 
-// ------------------------------------------------ shard-conflict fuzz
+// ------------------------------------------------- contention fuzz
 
-TEST(ShardConflictFuzzTest, ContendedEvaluationThenOrderedApplication) {
-  // The engine's per-window pattern, fuzzed: several requests evaluate
-  // the SAME workers concurrently (CachedState rebuilds contend on the
-  // shard locks), then a driver applies proposals in order, replaying the
-  // conflict-resolution staleness check. Run under tsan by the tsan
-  // preset; any unserialized state-cache rebuild is a data race here.
+TEST(DispatchWindowContentionTest, ContendedEvaluationThenOrderedApplication) {
+  // The engine's per-window pattern, fuzzed: the main thread touches
+  // every worker and builds its route state, several threads then
+  // evaluate the SAME workers concurrently with no lock (every Touch and
+  // CachedState call only reads), and the main thread applies proposals
+  // in order, replaying the conflict-resolution staleness check. Run
+  // under tsan by the tsan preset; a fleet write left to the planning
+  // threads is a data race here.
   TestEnv env(MakeGridGraph(10, 10, 0.8));
   constexpr int kWorkers = 4, kThreads = 4, kRounds = 20;
   std::vector<Worker> workers;
@@ -298,8 +256,6 @@ TEST(ShardConflictFuzzTest, ContendedEvaluationThenOrderedApplication) {
   env.graph().BoundingBox(&lo, &hi);
   GridIndex index(lo, hi, 2.0);
   fleet.AttachIndex(&index);
-  FleetShards shards(&fleet, lo, hi, /*region_km=*/1.6, 4);
-  fleet.AttachShards(&shards);
 
   struct Proposal {
     WorkerId worker = kInvalidWorker;
@@ -309,9 +265,14 @@ TEST(ShardConflictFuzzTest, ContendedEvaluationThenOrderedApplication) {
   int applied = 0, conflicts = 0;
   for (int round = 0; round < kRounds; ++round) {
     const double now = 0.4 * round;
-    // Driver: touch everyone (commits due stops, bumps idle clocks).
-    for (WorkerId w = 0; w < kWorkers; ++w) fleet.Touch(w, now);
-    shards.Rebuild();
+    // Main thread: touch everyone (commits due stops, bumps idle clocks)
+    // and build every route state, as the engine's prep does.
+    std::vector<std::uint64_t> frozen;
+    for (WorkerId w = 0; w < kWorkers; ++w) {
+      fleet.Touch(w, now);
+      fleet.CachedState(w, env.ctx());
+      frozen.push_back(fleet.route(w).version());
+    }
     // Parallel: every thread evaluates its request against ALL workers —
     // two requests contending for one worker is the common case here.
     std::vector<Proposal> proposals(kThreads);
@@ -323,6 +284,8 @@ TEST(ShardConflictFuzzTest, ContendedEvaluationThenOrderedApplication) {
             all[static_cast<std::size_t>(round * kThreads + t)];
         double best_delta = kInf;
         for (WorkerId w = 0; w < kWorkers; ++w) {
+          // The scan touches an evaluated idle worker: a read here.
+          if (fleet.route(w).empty()) fleet.Touch(w, now);
           const InsertionCandidate cand = LinearDpInsertion(
               fleet.worker(w), fleet.route(w),
               fleet.CachedState(w, env.ctx()), r, env.ctx());
@@ -335,7 +298,12 @@ TEST(ShardConflictFuzzTest, ContendedEvaluationThenOrderedApplication) {
       });
     }
     for (auto& th : threads) th.join();
-    // Driver: ordered application with the engine's staleness rule.
+    for (WorkerId w = 0; w < kWorkers; ++w) {
+      EXPECT_EQ(fleet.route(w).version(),
+                frozen[static_cast<std::size_t>(w)])
+          << "the planning stage wrote worker " << w;
+    }
+    // Main thread: ordered application with the engine's staleness rule.
     for (int t = 0; t < kThreads; ++t) {
       const Proposal& p = proposals[static_cast<std::size_t>(t)];
       const Request& r = all[static_cast<std::size_t>(round * kThreads + t)];
@@ -348,64 +316,9 @@ TEST(ShardConflictFuzzTest, ContendedEvaluationThenOrderedApplication) {
       }
     }
   }
-  fleet.AttachShards(nullptr);
   fleet.FinishAll();
   EXPECT_GT(applied, 0);
   EXPECT_GT(conflicts, 0) << "fuzz never produced a worker conflict";
-  const InvariantReport inv = VerifyInvariants(fleet, all);
-  EXPECT_TRUE(inv.ok) << inv.violation;
-}
-
-TEST(ShardConflictFuzzTest, ConcurrentMutationAcrossShards) {
-  // Shard-safe mutation path: threads own disjoint workers and run
-  // Touch + ApplyInsertion concurrently. Per-worker route state is
-  // exclusive; the cross-shard commit state (arrival heap, grid index,
-  // pickup/drop-off records, total distance) is what the commit mutex
-  // must protect — tsan flags it if it does not.
-  TestEnv env(MakeGridGraph(10, 10, 0.8));
-  constexpr int kThreads = 4, kPerThread = 30;
-  std::vector<Worker> workers;
-  for (int w = 0; w < kThreads; ++w) workers.push_back({w, w * 11, 8});
-  std::vector<Request> all;
-  Rng rng(29);
-  for (int i = 0; i < kThreads * kPerThread; ++i) {
-    const VertexId o = rng.UniformInt(0, 99);
-    VertexId d = rng.UniformInt(0, 99);
-    if (d == o) d = (d + 1) % 100;
-    all.push_back(env.AddRequest(o, d, 0.0, 1e9, 1e9));
-  }
-
-  Fleet fleet(workers, &env.graph());
-  Point lo, hi;
-  env.graph().BoundingBox(&lo, &hi);
-  GridIndex index(lo, hi, 2.0);
-  fleet.AttachIndex(&index);
-  FleetShards shards(&fleet, lo, hi, /*region_km=*/1.6, 4);
-  fleet.AttachShards(&shards);
-
-  std::atomic<int> applied{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const WorkerId w = t;  // exclusive owner of this worker's route
-      for (int k = 0; k < kPerThread; ++k) {
-        const Request& r = all[static_cast<std::size_t>(t * kPerThread + k)];
-        fleet.Touch(w, 0.2 * k);  // commits stops -> heap/index/records
-        const InsertionCandidate cand = LinearDpInsertion(
-            fleet.worker(w), fleet.route(w), fleet.CachedState(w, env.ctx()),
-            r, env.ctx());
-        if (cand.feasible()) {
-          fleet.ApplyInsertion(w, r, cand.i, cand.j, env.ctx()->oracle());
-          applied.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  fleet.AttachShards(nullptr);
-  fleet.FinishAll();
-  EXPECT_GT(applied.load(), 0);
   const InvariantReport inv = VerifyInvariants(fleet, all);
   EXPECT_TRUE(inv.ok) << inv.violation;
 }
@@ -443,8 +356,8 @@ void ExpectFourThreadsMatchOne(const RoadNetwork& graph,
 }
 
 TEST(DispatchWindowFuzzTest, RandomWorkloadsMatchSingleThreadedRun) {
-  // Run under tsan by the tsan preset — the parallel planning and
-  // footprint commits are what it probes.
+  // Run under tsan by the tsan preset — the parallel planning stage over
+  // the fleet that prep froze is what it probes.
   for (const int seed : {3, 17}) {
     const RoadNetwork graph = MakeChengduLike(0.05, seed);
     HubLabelOracle labels = HubLabelOracle::Build(graph);
@@ -463,11 +376,11 @@ TEST(DispatchWindowFuzzTest, RandomWorkloadsMatchSingleThreadedRun) {
 }
 
 TEST(DispatchWindowCommitConflictTest, ConcurrentFootprintsMatchSerialCommit) {
-  // Conflict-heavy fuzz for the parallel commit stage: a compact fleet
-  // on a small graph makes accepted proposals' shard footprints overlap
-  // constantly, so the per-shard ticket queues (and the replan path for
-  // proposals invalidated by an earlier conflicting commit) are
-  // exercised hard. Run under tsan by the tsan preset.
+  // Conflict-heavy fuzz for the commit stage: a compact fleet on a small
+  // graph makes accepted proposals contend for the same workers
+  // constantly, so the replan path for proposals invalidated by an
+  // earlier commit is exercised hard, and the 4-thread run must still
+  // match the 1-thread one. Run under tsan by the tsan preset.
   for (const int seed : {5, 23}) {
     const RoadNetwork graph = MakeChengduLike(0.05, seed);
     HubLabelOracle labels = HubLabelOracle::Build(graph);

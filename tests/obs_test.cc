@@ -2,13 +2,12 @@
 // merge associativity and rank-error bounds against an exact sort on a
 // million-sample pooled input; metrics-registry semantics (disabled
 // inertness, thread-safe sharded counters under concurrent snapshots,
-// histogram expansion, callback-gauge freeze, the JSON-lines exporter);
-// Chrome trace-event schema validation over a real windowed smoke run
-// (well-formed JSON, balanced B/E spans per tid, non-decreasing
-// timestamps per tid, one window span per epoch, shard ids on commit
-// spans); and the NaN pins for zero-request and timed-out runs. The
-// registry/trace suites run under the tsan preset (suite names match its
-// Obs filter).
+// histogram expansion, callback-gauge freeze); Chrome trace-event schema
+// validation over a real windowed smoke run (well-formed JSON, balanced
+// B/E spans per tid, non-decreasing timestamps per tid, one window span
+// per epoch, epochs on plan and commit spans); and the NaN pins for
+// zero-request and timed-out runs. The registry/trace suites run under
+// the tsan preset (suite names match its Obs filter).
 
 #include <algorithm>
 #include <cmath>
@@ -257,12 +256,6 @@ TEST(ObsRegistryTest, DisabledRegistryIsInertAndSnapshotsEmpty) {
   { obs::ScopedTimerMs t(h); }
   reg.RegisterCallbackGauge("cb", [] { return 1.0; });
   EXPECT_TRUE(reg.Snapshot().empty());
-  // The exporter is a no-op when disabled: no file appears.
-  std::remove("obs_export_disabled.jsonl");
-  reg.StartPeriodicExport("obs_export_disabled.jsonl", 0.01);
-  reg.StopPeriodicExport();
-  std::ifstream in("obs_export_disabled.jsonl");
-  EXPECT_FALSE(in.good());
 }
 
 TEST(ObsRegistryTest, CountersSumAcrossThreadsUnderConcurrentSnapshots) {
@@ -357,57 +350,6 @@ TEST(ObsRegistryTest, CallbackGaugesEvaluateLiveAndFreezeLastValue) {
   EXPECT_EQ(reg.Snapshot().at("queue.depth"), 9.0);
 }
 
-TEST(ObsRegistryTest, PeriodicExporterAppendsJsonLines) {
-  const char* path = "obs_export_test.jsonl";
-  std::remove(path);
-  {
-    obs::Registry reg;
-    reg.GetCounter("exp.c")->Add(5);
-    reg.StartPeriodicExport(path, 0.02);
-    std::this_thread::sleep_for(std::chrono::milliseconds(70));
-    reg.StopPeriodicExport();  // writes a final line
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    EXPECT_EQ(line.rfind("{\"ts_ms\":", 0), 0u) << line;
-    EXPECT_NE(line.find("\"metrics\":{"), std::string::npos) << line;
-    EXPECT_NE(line.find("\"exp.c\":"), std::string::npos) << line;
-    EXPECT_EQ(line.back(), '}') << line;
-  }
-  EXPECT_GE(lines, 2);  // at least one periodic tick plus the final line
-  std::remove(path);
-}
-
-TEST(ObsRegistryTest, SubIntervalRunStillWritesFinalSnapshot) {
-  // A run shorter than one export period must not leave an empty file:
-  // StopPeriodicExport writes the final snapshot unconditionally, so even
-  // a 10-second period with an immediate stop yields >= 1 line.
-  const char* path = "obs_export_subinterval_test.jsonl";
-  std::remove(path);
-  {
-    obs::Registry reg;
-    reg.GetCounter("exp.final")->Add(7);
-    reg.StartPeriodicExport(path, 10.0);
-    reg.StopPeriodicExport();  // no tick has fired yet
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    EXPECT_NE(line.find("\"exp.final\":"), std::string::npos) << line;
-  }
-  EXPECT_GE(lines, 1);
-  std::remove(path);
-}
-
 // -------------------------------------------------------------- trace
 
 struct TraceEvent {
@@ -485,8 +427,8 @@ TEST(ObsTraceTest, WindowedSmokeRunEmitsValidChromeTrace) {
   // metrics on, then validates the flushed Chrome trace: well-formed JSON
   // envelope, every event parseable, B/E spans balanced per tid with
   // matching names, timestamps non-decreasing per tid, one window span
-  // per epoch, epochs on the window.plan spans and shard ids on the
-  // commit.apply spans. The file is also the CI trace artifact
+  // per epoch, and epochs on the window.plan and commit.apply spans. The
+  // file is also the CI trace artifact
   // (obs_trace_smoke.json in the test working dir).
   const RoadNetwork graph = MakeChengduLike(0.05, 2);
   HubLabelOracle labels = HubLabelOracle::Build(graph);
@@ -539,7 +481,6 @@ TEST(ObsTraceTest, WindowedSmokeRunEmitsValidChromeTrace) {
   std::map<int, double> last_ts;
   std::map<std::string, int> begins;
   std::vector<std::int64_t> window_epochs;  // window spans, in B order
-  int commit_apply_with_shard = 0;
   for (std::size_t i = 2; i + 1 < lines.size(); ++i) {
     TraceEvent e;
     ASSERT_TRUE(ParseEvent(lines[i], &e)) << lines[i];
@@ -564,9 +505,7 @@ TEST(ObsTraceTest, WindowedSmokeRunEmitsValidChromeTrace) {
       if (e.name == "window") window_epochs.push_back(e.args.at("epoch"));
     }
     if (e.name == "commit.apply" && e.ph == 'B') {
-      ASSERT_EQ(e.args.count("shard"), 1u) << lines[i];
       ASSERT_EQ(e.args.count("epoch"), 1u) << lines[i];
-      if (e.args.at("shard") >= 0) ++commit_apply_with_shard;
     }
   }
   for (const auto& [tid, stack] : open) {
@@ -581,7 +520,6 @@ TEST(ObsTraceTest, WindowedSmokeRunEmitsValidChromeTrace) {
   EXPECT_GT(begins["window.plan"], 0);
   EXPECT_LE(begins["window.plan"], begins["window"]);
   EXPECT_GT(begins["commit.apply"], 0);
-  EXPECT_GT(commit_apply_with_shard, 0);
 }
 
 // --------------------------------------------- multi-run aggregation

@@ -92,16 +92,6 @@ TEST(ThreadPoolTest, WritesAreVisibleToCallerAfterReturn) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelMapReturnsPerIndexValues) {
-  ThreadPool pool(4);
-  const std::vector<int> squares =
-      pool.ParallelMap<int>(100, [](std::int64_t i) {
-        return static_cast<int>(i * i);
-      });
-  ASSERT_EQ(squares.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(squares[static_cast<std::size_t>(i)], i * i);
-}
-
 // ----------------------------------------------------- concurrent oracle
 
 // 8 threads query the same pairs through one BillingOracle over `inner`:

@@ -8,7 +8,6 @@
 
 #include "src/obs/tdigest.h"
 #include "src/util/rng.h"
-#include "src/util/scratch.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
 
@@ -235,62 +234,6 @@ TEST(TableTest, CsvRendering) {
 TEST(TableTest, NumFormatting) {
   EXPECT_EQ(TablePrinter::Num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::Num(1000.0, 0), "1000");
-}
-
-// ------------------------------------------------ HighWaterClamp
-
-TEST(HighWaterClampTest, ShrinksPastRecentHighWaterOnlyAtPeriod) {
-  HighWaterClamp clamp(/*min_keep=*/8, /*period=*/4);
-  std::vector<int> v;
-  // One burst pins a big capacity...
-  v.assign(1000, 7);
-  clamp.Observe(&v);
-  EXPECT_EQ(clamp.high_water(), 1000u);
-  const std::size_t burst_cap = v.capacity();
-  ASSERT_GE(burst_cap, 1000u);
-  // ...which survives until a full period of small uses has elapsed.
-  v.assign(10, 1);
-  clamp.Observe(&v);
-  v.assign(12, 2);
-  clamp.Observe(&v);
-  EXPECT_EQ(v.capacity(), burst_cap);  // window still includes the burst
-  v.assign(11, 3);
-  clamp.Observe(&v);  // period boundary: burst is in this window's HW
-  v.assign(9, 4);
-  clamp.Observe(&v);
-  v.assign(9, 5);
-  clamp.Observe(&v);
-  v.assign(9, 6);
-  clamp.Observe(&v);
-  v.assign(9, 7);
-  clamp.Observe(&v);  // second period closes: high water is now ~11
-  EXPECT_LT(v.capacity(), burst_cap);
-  // Contents survive the trim.
-  EXPECT_EQ(v.size(), 9u);
-  for (const int x : v) EXPECT_EQ(x, 7);
-}
-
-TEST(HighWaterClampTest, NeverShrinksBelowMinKeepOrStableWorkingSet) {
-  HighWaterClamp clamp(/*min_keep=*/64, /*period=*/2);
-  std::vector<int> v;
-  v.reserve(60);  // under min_keep: never touched
-  const std::size_t small_cap = v.capacity();
-  for (int i = 0; i < 10; ++i) {
-    v.assign(4, i);
-    clamp.Observe(&v);
-  }
-  EXPECT_EQ(v.capacity(), small_cap);
-  // A stable working set is never reallocated either (capacity within
-  // 2x of the recurring size).
-  std::vector<int> w;
-  w.assign(100, 0);
-  const std::size_t stable_cap = w.capacity();
-  HighWaterClamp clamp2(/*min_keep=*/8, /*period=*/2);
-  for (int i = 0; i < 10; ++i) {
-    w.assign(100, i);
-    clamp2.Observe(&w);
-    EXPECT_EQ(w.capacity(), stable_cap);
-  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 # CTest guard for the tracked perf-trajectory files (bench_trajectory_guard).
 #
-# The four repo-root BENCH_*.json files are full-run sweeps refreshed by
+# The three repo-root BENCH_*.json files are full-run sweeps refreshed by
 # running the trajectory benches without --smoke from the repository root.
 # Historically they kept getting clobbered by `ctest -L bench_smoke`, which
 # ran the same binaries in smoke mode from the same directory — leaving
@@ -24,16 +24,14 @@ if(NOT DEFINED REPO_ROOT)
   message(FATAL_ERROR "trajectory_guard: pass -DREPO_ROOT=<repo>")
 endif()
 
-# Record floors: the current full sweeps write 3 (oracle), 12 (insertion),
-# 18 (dispatch) and 39 (pipeline) lines; the floors leave headroom for
-# sweep-point tweaks but catch a file cut off mid-run or overwritten by a
-# smoke run (1-7 lines).
+# Record floors: the current full sweeps write 3 (oracle), 12 (insertion)
+# and 30 (dispatch) lines; the floors catch a file cut off mid-run or
+# overwritten by a smoke run (1-9 lines).
 set(floor_oracle 3)
 set(floor_insertion 9)
-set(floor_dispatch 14)
-set(floor_pipeline 34)
+set(floor_dispatch 30)
 
-foreach(stem oracle insertion dispatch pipeline)
+foreach(stem oracle insertion dispatch)
   set(path "${REPO_ROOT}/BENCH_${stem}.json")
   if(NOT EXISTS "${path}")
     message(FATAL_ERROR "trajectory_guard: ${path} is missing — regenerate "

@@ -1,7 +1,7 @@
-// Parallel dispatch: the same day simulated with the dispatch-window
-// engine (6-second windows, the paper's batch setting) on one thread and
-// on every hardware thread, demonstrating (1) how SimOptions::num_threads
-// plumbs the pool through the simulation and (2) the engine's core
+// Parallel dispatch: the same day simulated with pruneGreedyDP in 6-second
+// dispatch windows (the paper's batch setting) on one thread and on every
+// hardware thread, demonstrating (1) how SimOptions::num_threads plumbs
+// the pool through the simulation and (2) the windowed planner's core
 // guarantee — for a fixed window length the results are bit-identical at
 // every thread count; only the wall time moves.
 //
@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "src/shortest/hub_labels.h"
-#include "src/sim/dispatch_window.h"
 #include "src/sim/simulator.h"
 #include "src/workload/city.h"
 #include "src/workload/requests.h"
@@ -41,7 +40,7 @@ int main() {
     options.batch_window_s = 6.0;
     options.num_threads = threads;
     Simulation sim(&graph, &labels, workers, &requests, options);
-    return sim.Run(MakeDispatchWindowFactory({}));
+    return sim.Run(MakePruneGreedyDpFactory({}));
   };
   const SimReport one = run(1);
   const SimReport many = run(static_cast<int>(hw));

@@ -28,9 +28,9 @@ namespace urpsm {
 ///    legacy standalone behaviour;
 ///  - windowed (OnBatch): the simulation owns the windowing
 ///    (SimOptions::batch_window_s) and hands whole release windows over,
-///    so the baseline rides the same dispatch-window plumbing as
-///    DispatchWindowPlanner and the two become directly comparable under
-///    identical window semantics.
+///    so the baseline rides the same windowed event loop as
+///    GreedyDpPlanner::OnBatch and the two become directly comparable
+///    under identical window semantics.
 class BatchBaselinePlanner : public BatchPlanner {
  public:
   BatchBaselinePlanner(PlanningContext* ctx, Fleet* fleet,

@@ -4,6 +4,9 @@
 
 #include "src/core/decision.h"
 #include "src/insertion/insertion.h"
+#include "src/obs/registry.h"
+#include "src/obs/trace.h"
+#include "src/parallel/thread_pool.h"
 
 namespace urpsm {
 
@@ -26,15 +29,6 @@ void SortByLowerBound(std::vector<WorkerBound>* bounds) {
             [](const WorkerBound& a, const WorkerBound& b) {
               return a.lower_bound < b.lower_bound;
             });
-}
-
-std::vector<WorkerId> FilterCandidates(PlanningContext* ctx,
-                                       const GridIndex& index,
-                                       const Request& r, double L,
-                                       double now) {
-  std::vector<WorkerId> out;
-  FilterCandidatesInto(ctx, index, r, L, now, &out);
-  return out;
 }
 
 void FilterCandidatesInto(PlanningContext* ctx, const GridIndex& index,
@@ -157,23 +151,158 @@ GreedyDpPlanner::GreedyDpPlanner(PlanningContext* ctx, Fleet* fleet,
   ctx_->graph().BoundingBox(&lo, &hi);
   index_ = std::make_unique<GridIndex>(lo, hi, config_.grid_cell_km);
   fleet_->AttachIndex(index_.get());
+  // Instruments observe wall times and event counts only — never anything
+  // planning reads — so results are bit-identical with or without
+  // observability.
+  if (obs::Registry* reg = ctx_->metrics();
+      reg != nullptr && reg->enabled()) {
+    windows_counter_ = reg->GetCounter("engine.windows");
+    conflict_replan_counter_ = reg->GetCounter("engine.commit.replans");
+    conflict_replan_hist_ = reg->GetHistogram("engine.commit.replan_ms");
+  }
+  if (obs::TraceRecorder* t = ctx_->tracer();
+      t != nullptr && t->enabled()) {
+    tracer_ = t;
+  }
 }
 
 WorkerId GreedyDpPlanner::OnRequest(const Request& r) {
-  const double now = r.release_time;
+  return PlanAndApply(r, r.release_time);
+}
+
+WorkerId GreedyDpPlanner::PlanAndApply(const Request& r, double now) {
   const double L = ctx_->DirectDist(r.id);  // the decision phase's 1 query
   // Line 3 of Algo. 5: candidate filter via grid index and deadline.
-  const std::vector<WorkerId> candidates =
-      FilterCandidates(ctx_, *index_, r, L, now);
-  if (candidates.empty()) return kInvalidWorker;
+  FilterCandidatesInto(ctx_, *index_, r, L, now, &candidates_);
+  Proposal p;
+  if (!Propose(r, L, now, candidates_, &p, &exact_evaluations_)) {
+    return kInvalidWorker;
+  }
+  fleet_->ApplyInsertion(p.worker, r, p.i, p.j, ctx_->oracle());
+  return p.worker;
+}
 
+bool GreedyDpPlanner::Propose(const Request& r, double L, double now,
+                              const std::vector<WorkerId>& candidates,
+                              Proposal* out, std::int64_t* evals) {
   InsertionCandidate best;
-  const WorkerId best_worker =
-      PlanRequestSequential(ctx_, fleet_, config_, r, L, now, candidates,
-                            &best, &exact_evaluations_);
-  if (best_worker == kInvalidWorker) return kInvalidWorker;
-  fleet_->ApplyInsertion(best_worker, r, best.i, best.j, ctx_->oracle());
-  return best_worker;
+  const WorkerId w = PlanRequestSequential(ctx_, fleet_, config_, r, L, now,
+                                           candidates, &best, evals);
+  if (w == kInvalidWorker) return false;
+  *out = {w, best.delta, best.i, best.j, fleet_->route(w).version()};
+  return true;
+}
+
+void GreedyDpPlanner::OnBatch(const std::vector<RequestId>& batch,
+                              double now, WindowEpoch epoch) {
+  if (batch.size() <= 1) {
+    if (!batch.empty()) PlanAndApply(ctx_->request(batch.front()), now);
+    return;
+  }
+  PlanBatch(batch, now, epoch);
+  CommitBatch(now, epoch);
+}
+
+void GreedyDpPlanner::PlanBatch(const std::vector<RequestId>& batch,
+                                double now, WindowEpoch epoch) {
+  const obs::TraceSpan span(
+      tracer_, "window.plan",
+      {{"epoch", static_cast<std::int64_t>(epoch)},
+       {"batch", static_cast<std::int64_t>(batch.size())}});
+  obs::Inc(windows_counter_);
+
+  // ---- 1. Prep. Prep elements are reused across windows (no clear() —
+  // that would free every inner buffer): every field is overwritten
+  // below, keeping capacity warm. The simulator has already advanced the
+  // fleet to `now`, so a touch only bumps an idle clock. Every distinct
+  // candidate is touched and its route state built here, not just the
+  // ones a scan evaluates: that is every fleet write the planning stage
+  // would otherwise make, so its tasks only read.
+  preps_.resize(batch.size());
+  touched_.assign(static_cast<std::size_t>(fleet_->size()), 0);
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    Prep& p = preps_[b];
+    p.r = &ctx_->request(batch[b]);
+    p.L = ctx_->DirectDist(p.r->id);
+    p.evals = 0;
+    p.planned = false;
+    FilterCandidatesInto(ctx_, *index_, *p.r, p.L, now, &p.candidates);
+    for (const WorkerId w : p.candidates) {
+      auto& flag = touched_[static_cast<std::size_t>(w)];
+      if (flag == 0) {
+        flag = 1;
+        fleet_->Touch(w, now);
+        fleet_->CachedState(w, ctx_);
+      }
+    }
+  }
+
+  // ---- 2. Planning: one task per request, the shared scan against the
+  // frozen fleet. Requests are mutually independent here, so the winners
+  // are schedule-independent; evaluation counts are summed serially
+  // afterwards.
+  const auto plan = [&](std::int64_t i) {
+    Prep& p = preps_[static_cast<std::size_t>(i)];
+    if (p.candidates.empty()) return;
+    p.planned = Propose(*p.r, p.L, now, p.candidates, &p.proposal, &p.evals);
+  };
+  const auto n = static_cast<std::int64_t>(preps_.size());
+  if (ThreadPool* pool = ctx_->thread_pool(); pool != nullptr) {
+    pool->ParallelFor(0, n, plan);
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) plan(i);
+  }
+  for (const Prep& p : preps_) exact_evaluations_ += p.evals;
+}
+
+void GreedyDpPlanner::CommitBatch(double now, WindowEpoch epoch) {
+  // ---- 3. Apply order: unified cost (= alpha * delta), then request id.
+  // The exact-reject ablation already ran inside the shared scan
+  // (planned = false), so acceptance is just "a proposal exists".
+  accepted_.clear();
+  for (std::size_t b = 0; b < preps_.size(); ++b) {
+    if (preps_[b].planned) accepted_.push_back(b);
+  }
+  std::sort(accepted_.begin(), accepted_.end(),
+            [&](std::size_t a, std::size_t b) {
+              const Prep& pa = preps_[a];
+              const Prep& pb = preps_[b];
+              if (pa.proposal.delta != pb.proposal.delta) {
+                return pa.proposal.delta < pb.proposal.delta;
+              }
+              return pa.r->id < pb.r->id;
+            });
+
+  for (const std::size_t b : accepted_) {
+    const Prep& prep = preps_[b];
+    const Proposal& p = prep.proposal;
+    const Request& r = *prep.r;
+    const obs::TraceSpan apply_span(
+        tracer_, "commit.apply",
+        {{"epoch", static_cast<std::int64_t>(epoch)}, {"request", r.id}});
+    if (fleet_->route(p.worker).version() == p.route_version) {
+      // Still the fleet snapshot the proposal was computed against (for
+      // this worker): feasibility and delta hold verbatim.
+      fleet_->ApplyInsertion(p.worker, r, p.i, p.j, ctx_->oracle());
+      continue;
+    }
+    // An earlier (cheaper) member took this worker: replan against the
+    // updated fleet. The grid index did not move (Insert keeps anchors),
+    // so the original candidate list is still the filter's output.
+    ++conflict_replans_;
+    obs::Inc(conflict_replan_counter_);
+    Proposal replanned;
+    bool planned = false;
+    {
+      const obs::ScopedTimerMs replan_timer(conflict_replan_hist_);
+      planned = Propose(r, prep.L, now, prep.candidates, &replanned,
+                        &exact_evaluations_);
+    }
+    if (planned) {
+      fleet_->ApplyInsertion(replanned.worker, r, replanned.i, replanned.j,
+                             ctx_->oracle());
+    }
+  }
 }
 
 }  // namespace urpsm

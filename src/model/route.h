@@ -43,9 +43,9 @@ class Route {
 
   /// Mutation counter: bumped by Insert, SetStops, PopFront and
   /// set_anchor_time. Equal versions of the same Route object imply an
-  /// identical route; cache RouteState and schedules against it. The
-  /// dispatch-window engine also stamps each proposal with the version it
-  /// planned against and replans when the version moved before commit, so
+  /// identical route; cache RouteState and schedules against it.
+  /// GreedyDpPlanner's window commit also stamps each proposal with the
+  /// version it planned against and replans when the version moved, so
   /// the counter must bump on EVERY mutation, even one that restores a
   /// previous byte-identical state (no consumer compares content).
   std::uint64_t version() const { return version_; }

@@ -10,58 +10,33 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/util/stats.h"
 
 namespace urpsm::obs {
 
-class Registry;
-
-/// Monotonic event counter. The hot path is one branch when the owning
-/// registry is disabled (no atomics, no TLS lookup); when enabled, each
-/// thread increments its own cache-line-private cell (relaxed atomics,
-/// no contention) and Snapshot sums the cells.
+/// Monotonic event counter: one relaxed atomic. The hot path is one
+/// branch when the owning registry is disabled. Every counter in the
+/// engine is bumped on the simulation's loop thread, so the atomic sees
+/// no contention there; it keeps Add safe from any thread all the same.
 ///
 /// Thread-safe. Pointers returned by Registry::GetCounter stay valid
 /// for the registry's lifetime.
 class Counter {
  public:
   void Add(std::int64_t n = 1) {
-    if (!enabled_) return;
-    AddSlow(n);
+    if (enabled_) value_.fetch_add(n, std::memory_order_relaxed);
   }
   const std::string& name() const { return name_; }
 
  private:
   friend class Registry;
-  Counter(Registry* owner, std::size_t id, std::string name, bool enabled);
-  void AddSlow(std::int64_t n);
+  Counter(std::string name, bool enabled);
 
-  Registry* owner_;
-  std::size_t id_;
   std::string name_;
   const bool enabled_;  // copied from the registry at creation
-};
-
-/// Last-value-wins gauge (a single relaxed atomic double).
-class Gauge {
- public:
-  void Set(double v) {
-    if (!enabled_) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class Registry;
-  Gauge(std::string name, bool enabled);
-
-  std::string name_;
-  const bool enabled_;
-  std::atomic<double> value_{0.0};
+  std::atomic<std::int64_t> value_{0};
 };
 
 /// Value-distribution histogram backed by the digest-based
@@ -110,7 +85,6 @@ class Registry {
   bool enabled() const { return enabled_; }
 
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
   /// Registers a pull-model gauge evaluated at Snapshot time; returns
@@ -126,46 +100,28 @@ class Registry {
   /// registry outliving them stays safe to snapshot.
   void FreezeAllCallbacks();
 
-  /// Flat name -> value view of everything: counters summed across
-  /// thread cells, gauges, callback gauges (evaluated or frozen), and
-  /// histograms expanded to .count/.sum/.min/.max/.p50/.p95/.p99
-  /// (histograms with no observations are omitted). Returns an empty
-  /// map when the registry is disabled. Safe to call concurrently with
-  /// instrument updates.
+  /// Flat name -> value view of everything: counters, callback gauges
+  /// (evaluated or frozen), and histograms expanded to
+  /// .count/.sum/.min/.max/.p50/.p95/.p99 (histograms with no
+  /// observations are omitted). Returns an empty map when the registry
+  /// is disabled. Safe to call concurrently with instrument updates.
   std::map<std::string, double> Snapshot();
 
  private:
-  friend class Counter;
-
-  struct CellBlock {
-    static constexpr std::size_t kCapacity = 256;
-    std::atomic<std::int64_t> cells[kCapacity];  // zero-initialized
-    CellBlock() {
-      for (auto& c : cells) c.store(0, std::memory_order_relaxed);
-    }
-  };
   struct Callback {
     std::string name;
     std::function<double()> fn;  // empty once frozen
     double frozen = 0.0;
   };
 
-  void AddToCell(std::size_t id, std::int64_t n);
-  CellBlock* GetBlockSlow();
-
   const bool enabled_;
-  const std::uint64_t uid_;  // process-unique; keys the TLS block cache
 
   std::mutex mu_;
   std::deque<std::unique_ptr<Counter>> counters_;  // deque: stable ptrs
   std::map<std::string, Counter*> counter_index_;
-  std::deque<std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, Gauge*> gauge_index_;
   std::deque<std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, Histogram*> histogram_index_;
   std::vector<Callback> callbacks_;
-  std::map<std::thread::id, std::unique_ptr<CellBlock>> thread_blocks_;
-  std::map<std::size_t, std::int64_t> overflow_;  // counter id >= kCapacity
 };
 
 /// Null-safe increment: components hold Counter* that may be null when

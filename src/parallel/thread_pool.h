@@ -21,7 +21,7 @@ class Registry;
 /// Fixed-size pool of worker threads driving self-scheduling parallel
 /// loops over index ranges.
 ///
-/// The pool exists so the dispatch-window engine can plan a window's
+/// The pool exists so GreedyDpPlanner::OnBatch can plan a window's
 /// requests (each an independent scan over the frozen, read-only fleet)
 /// concurrently without spawning threads per window. Iterations are
 /// claimed in `grain`-sized chunks off a shared atomic cursor — dynamic

@@ -51,7 +51,7 @@ class Fleet {
   /// Thread-safety: calls for *distinct* workers may run concurrently
   /// (each worker owns its slot). Calls for the same worker may overlap
   /// only when the entry is already current, since a current entry is
-  /// only read: the dispatch-window engine builds every candidate's entry
+  /// only read: GreedyDpPlanner::OnBatch builds every candidate's entry
   /// in its serial prep, so its parallel planning tasks share workers
   /// without a lock. Otherwise calls for one worker must be externally
   /// ordered — the sequential planning scan (PlanRequestSequential) is:
@@ -72,10 +72,11 @@ class Fleet {
   /// and, if idle, moves its clock forward to `t` (a version bump when the
   /// clock moves). After AdvanceTo(t) only the idle clock can move, so the
   /// sequential planning scan touches just the idle workers it evaluates
-  /// (their bounds need no touch, IdleDecisionLowerBound); the
-  /// dispatch-window prep and the baseline planners touch every
-  /// candidate. A touch that finds nothing to commit and the clock at `t`
-  /// only reads, so such calls may overlap.
+  /// (their bounds need no touch, IdleDecisionLowerBound); a window's
+  /// prep (GreedyDpPlanner::OnBatch) and the baseline planners touch
+  /// every candidate. A touch that finds nothing to commit and the clock
+  /// at `t` only reads, so such calls may overlap — as a window's
+  /// planning tasks do.
   void Touch(WorkerId w, double t);
 
   /// Applies an insertion (pickup after position i, drop-off after j) to

@@ -35,24 +35,23 @@ struct SimOptions {
   /// Abort when cumulative planning wall time exceeds this (seconds);
   /// mirrors the paper's 10/20-hour kill switch under which kinetic DNFs.
   double wall_limit_seconds = 1e18;
-  /// Threads available to the parallel dispatch engine
-  /// (DispatchWindowPlanner), which fans one window's per-request
-  /// planning across them; its prep and commit stay on the loop thread.
-  /// 1 keeps the run fully sequential; above 1 the simulation owns a
-  /// ThreadPool of this size and exposes it via
-  /// PlanningContext::thread_pool(). Sequential planners simply ignore
-  /// it. The event loop itself stays single-threaded — requests and
-  /// windows are serialized by release time, as in the paper.
+  /// Threads available to windowed planning: GreedyDpPlanner::OnBatch
+  /// fans one window's per-request planning across them; its prep and
+  /// commit stay on the loop thread. 1 keeps the run fully sequential;
+  /// above 1 the simulation owns a ThreadPool of this size and exposes it
+  /// via PlanningContext::thread_pool(). The per-request loop and the
+  /// other planners ignore it. The event loop itself stays
+  /// single-threaded — requests and windows are serialized by release
+  /// time, as in the paper.
   int num_threads = 1;
   /// Dispatch-window length in simulated *seconds*. When > 0 and the
   /// planner implements BatchPlanner, Run() switches to the windowed
   /// event loop: requests released within one window are buffered, the
   /// fleet advances to the window close, and the whole batch is planned
   /// in one OnBatch call (the paper's batch baseline uses 6 s). 0 — the
-  /// default — keeps the per-request loop for every planner, which a
-  /// BatchPlanner sees as singleton batches at each release time;
-  /// DispatchWindowPlanner guarantees that mode is bit-identical to the
-  /// sequential pruneGreedyDP run at every thread count.
+  /// default — keeps the per-request loop for every planner: each
+  /// release goes to OnRequest, and the results do not depend on
+  /// num_threads.
   double batch_window_s = 0.0;
   /// Collect engine metrics (obs::Registry) for the run and attach the
   /// final snapshot to SimReport::metrics. Off by default: the

@@ -1,12 +1,12 @@
-// Tests for the batched dispatch-window engine and the lock-step windowed
-// event loop: window = 0 bit-identity with sequential pruneGreedyDP at
-// every thread count, thread-count determinism of real windows,
-// per-window invariant checks on accept- and rejection-heavy workloads, a
-// contention fuzz of the read-only planning stage (threads evaluating
-// shared workers with no lock, then the ordered apply), random-workload
-// and commit-conflict fuzzes of the full loop, the overload levers (slack
-// floor, window budget, drain), the kill switch and sub-ulp windows. The
-// suites run under tsan by the tsan preset.
+// Tests for windowed pruneGreedyDP (GreedyDpPlanner::OnBatch) and the
+// lock-step windowed event loop: window = 0 bit-identity with sequential
+// pruneGreedyDP at every thread count, thread-count determinism of real
+// windows, per-window invariant checks on accept- and rejection-heavy
+// workloads, a contention fuzz of the read-only planning stage (threads
+// evaluating shared workers with no lock, then the ordered apply),
+// random-workload and commit-conflict fuzzes of the full loop, the
+// overload levers (slack floor, window budget, drain), the kill switch
+// and sub-ulp windows. The suites run under tsan by the tsan preset.
 
 #include <memory>
 #include <string>
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "src/shortest/hub_labels.h"
-#include "src/sim/dispatch_window.h"
 #include "src/sim/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/workload/city.h"
@@ -95,7 +94,7 @@ TEST_P(DispatchWindowDeterminismTest, WindowZeroBitIdenticalToSequential) {
   for (int threads : {1, 2, 4, 8}) {
     const WorkloadRun windowed =
         RunOnce(graph, &labels, workers, requests,
-                MakeDispatchWindowFactory(config), threads,
+                MakePruneGreedyDpFactory(config), threads,
                 /*batch_window_s=*/0.0);
     ExpectIdentical(sequential, windowed,
                     "window=0 threads=" + std::to_string(threads));
@@ -121,12 +120,12 @@ TEST_P(DispatchWindowDeterminismTest, RealWindowsThreadCountIndependent) {
   for (double window_s : {2.0, 15.0}) {
     const WorkloadRun base =
         RunOnce(graph, &labels, workers, requests,
-                MakeDispatchWindowFactory(config), 1, window_s);
+                MakePruneGreedyDpFactory(config), 1, window_s);
     ASSERT_GT(base.report.served_requests, 0);
     for (int threads : {2, 4, 8}) {
       const WorkloadRun run =
           RunOnce(graph, &labels, workers, requests,
-                  MakeDispatchWindowFactory(config), threads, window_s);
+                  MakePruneGreedyDpFactory(config), threads, window_s);
       ExpectIdentical(base, run, "window=" + std::to_string(window_s) +
                                      " threads=" + std::to_string(threads));
       // The task decomposition is structural, so even the distance-query
@@ -168,7 +167,7 @@ void CheckInvariantsAfterEveryWindow(double penalty_factor) {
   Fleet fleet(workers, &graph);
   PlanningContext ctx(&graph, &labels, &requests);
   ctx.set_thread_pool(&pool);
-  DispatchWindowPlanner planner(&ctx, &fleet, PlannerConfig{}, &pool);
+  GreedyDpPlanner planner(&ctx, &fleet, PlannerConfig{});
 
   const double window_min = 6.0 / 60.0;
   std::size_t next = 0;
@@ -217,8 +216,7 @@ TEST(DispatchWindowConflictTest, SecondRequestReplansOntoUpdatedRoute) {
   Fleet fleet(workers, &env.graph());
   const Request r1 = env.AddRequest(28, 30, 0.0, 1e9, 1e9);
   const Request r2 = env.AddRequest(29, 31, 0.0, 1e9, 1e9);
-  DispatchWindowPlanner planner(env.ctx(), &fleet, PlannerConfig{},
-                                /*pool=*/nullptr);
+  GreedyDpPlanner planner(env.ctx(), &fleet, PlannerConfig{});
   planner.OnBatch({r1.id, r2.id}, 0.0, /*epoch=*/1);
   EXPECT_EQ(fleet.AssignedWorker(r1.id), 0);
   EXPECT_EQ(fleet.AssignedWorker(r2.id), 0);
@@ -342,13 +340,13 @@ void ExpectFourThreadsMatchOne(const RoadNetwork& graph,
                                const std::vector<Request>& requests,
                                const std::string& label) {
   const WorkloadRun base = RunOnce(graph, oracle, workers, requests,
-                                   MakeDispatchWindowFactory({}), 1, 4.0);
+                                   MakePruneGreedyDpFactory({}), 1, 4.0);
   SimOptions options;
   options.num_threads = 4;
   options.batch_window_s = 4.0;
   Simulation sim(&graph, oracle, workers, &requests, options);
   WorkloadRun run;
-  run.report = sim.Run(MakeDispatchWindowFactory({}));
+  run.report = sim.Run(MakePruneGreedyDpFactory({}));
   run.served = sim.served();
   ExpectSameRun(base, run, label);
   const InvariantReport inv = VerifyInvariants(sim.fleet(), requests);
@@ -440,7 +438,7 @@ WorkloadRun RunAdmission(SimOptions options) {
   HubLabelOracle labels = *w.labels;  // per-run query counters
   Simulation sim(&w.graph, &labels, w.workers, &w.requests, options);
   WorkloadRun run;
-  run.report = sim.Run(MakeDispatchWindowFactory({}));
+  run.report = sim.Run(MakePruneGreedyDpFactory({}));
   run.served = sim.served();
   const InvariantReport acct = CheckAccounting(run.report);
   EXPECT_TRUE(acct.ok) << acct.violation;
@@ -573,7 +571,7 @@ TEST(DispatchWindowTimeoutTest, KillSwitchStopsAfterFirstWindow) {
   options.batch_window_s = 6.0;
   options.wall_limit_seconds = 0.0;
   Simulation sim(&graph, &labels, workers, &requests, options);
-  const SimReport rep = sim.Run(MakeDispatchWindowFactory({}));
+  const SimReport rep = sim.Run(MakePruneGreedyDpFactory({}));
 
   EXPECT_TRUE(rep.timed_out);
   EXPECT_GT(rep.processed_requests, 0);
@@ -619,7 +617,7 @@ TEST(DispatchWindowTinyWindowTest, SubUlpWindowStillTakesEveryRequest) {
             requests.front().release_time);
 
   const WorkloadRun tiny = RunOnce(graph, &labels, workers, requests,
-                                   MakeDispatchWindowFactory({}), 2, window_s);
+                                   MakePruneGreedyDpFactory({}), 2, window_s);
   EXPECT_EQ(tiny.report.processed_requests, tiny.report.total_requests);
   EXPECT_FALSE(tiny.report.timed_out);
   const InvariantReport acct = CheckAccounting(tiny.report);

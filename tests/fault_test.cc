@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "src/shortest/hub_labels.h"
-#include "src/sim/dispatch_window.h"
 #include "src/sim/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/util/fault.h"
@@ -144,7 +143,7 @@ FaultRun RunWithFaults(const FaultSpec& faults, int threads,
   HubLabelOracle labels = *w.labels;
   Simulation sim(&w.graph, &labels, w.workers, &w.requests, options);
   FaultRun run;
-  run.report = sim.Run(MakeDispatchWindowFactory({}));
+  run.report = sim.Run(MakePruneGreedyDpFactory({}));
   const InvariantReport fleet_ok =
       VerifyInvariants(sim.fleet(), w.requests);
   EXPECT_TRUE(fleet_ok.ok) << fleet_ok.violation;

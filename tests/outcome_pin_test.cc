@@ -1,6 +1,6 @@
 // Outcome pins: a small NYC-like day on hub labels, planned four ways —
-// pruneGreedyDP and GreedyDP request by request, and the dispatch-window
-// engine with 6-s windows at 1 and at 4 threads. The constants below are
+// pruneGreedyDP and GreedyDP request by request, and pruneGreedyDP in 6-s
+// dispatch windows at 1 and at 4 threads. The constants below are
 // the outcomes the planners produced when this file was added; a change
 // that moves any of them changes what the system decides, not just how
 // fast it decides. Such a change updates the constants and says why in
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "src/shortest/hub_labels.h"
-#include "src/sim/dispatch_window.h"
 #include "src/sim/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -88,12 +87,12 @@ TEST(OutcomePinTest, GreedyDpPerRequest) {
 }
 
 TEST(DispatchWindowOutcomePinTest, SixSecondWindowsOneThread) {
-  ExpectPinned(Day().Run(MakeDispatchWindowFactory(PlannerConfig{}), 1, 6.0),
+  ExpectPinned(Day().Run(MakePruneGreedyDpFactory(PlannerConfig{}), 1, 6.0),
                {824, 248992, 107313.85963888461});
 }
 
 TEST(DispatchWindowOutcomePinTest, SixSecondWindowsFourThreads) {
-  ExpectPinned(Day().Run(MakeDispatchWindowFactory(PlannerConfig{}), 4, 6.0),
+  ExpectPinned(Day().Run(MakePruneGreedyDpFactory(PlannerConfig{}), 4, 6.0),
                {824, 248992, 107313.85963888461});
 }
 

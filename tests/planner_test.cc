@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/core/decision.h"
@@ -110,6 +111,9 @@ TEST_F(PlannerTest, CandidateRadiusNegativeWhenHopeless) {
 /// assignments and unified costs on a full simulated day, while the pruned
 /// variant issues no more distance queries.
 TEST(PlannerEquivalenceTest, PruningIsLossless) {
+  // Per request and in 6-s windows, at 1 and 4 threads. The windowed
+  // unpruned scan runs its multi-route gather on pool threads, so the
+  // tsan preset runs this suite too.
   for (std::uint64_t seed : {11u, 22u, 33u}) {
     const RoadNetwork g = MakeNycLike(0.02, seed);
     DijkstraOracle oracle(&g);
@@ -121,20 +125,27 @@ TEST(PlannerEquivalenceTest, PruningIsLossless) {
     rp.seed = seed;
     std::vector<Request> requests = GenerateRequests(g, rp, &oracle, &rng);
 
-    SimOptions options;
-    Simulation sim_pruned(&g, &oracle, workers, &requests, options);
-    const SimReport pruned = sim_pruned.Run(MakePruneGreedyDpFactory({}));
-    std::vector<bool> served_pruned = sim_pruned.served();
+    for (const double window_s : {0.0, 6.0}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " window=" +
+                     std::to_string(window_s) +
+                     " threads=" + std::to_string(threads));
+        SimOptions options;
+        options.batch_window_s = window_s;
+        options.num_threads = threads;
+        Simulation sim_pruned(&g, &oracle, workers, &requests, options);
+        const SimReport pruned = sim_pruned.Run(MakePruneGreedyDpFactory({}));
 
-    Simulation sim_plain(&g, &oracle, workers, &requests, options);
-    const SimReport plain = sim_plain.Run(MakeGreedyDpFactory({}));
+        Simulation sim_plain(&g, &oracle, workers, &requests, options);
+        const SimReport plain = sim_plain.Run(MakeGreedyDpFactory({}));
 
-    EXPECT_EQ(pruned.served_requests, plain.served_requests) << seed;
-    EXPECT_NEAR(pruned.unified_cost, plain.unified_cost,
-                1e-6 * std::max(1.0, plain.unified_cost))
-        << seed;
-    EXPECT_EQ(served_pruned, sim_plain.served()) << seed;
-    EXPECT_LE(pruned.distance_queries, plain.distance_queries) << seed;
+        EXPECT_EQ(pruned.served_requests, plain.served_requests);
+        EXPECT_NEAR(pruned.unified_cost, plain.unified_cost,
+                    1e-6 * std::max(1.0, plain.unified_cost));
+        EXPECT_EQ(sim_pruned.served(), sim_plain.served());
+        EXPECT_LE(pruned.distance_queries, plain.distance_queries);
+      }
+    }
   }
 }
 

@@ -5,7 +5,6 @@
 
 #include "src/algos/batch.h"
 #include "src/shortest/hub_labels.h"
-#include "src/sim/dispatch_window.h"
 #include "src/sim/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/workload/city.h"
@@ -296,7 +295,7 @@ TEST(SimulatorTest, LabelsAnswerEveryBilledQuery) {
   options.batch_window_s = 6.0;
   options.num_threads = 2;
   Simulation windowed(&graph, &labels, workers, &requests, options);
-  const SimReport b = windowed.Run(MakeDispatchWindowFactory({}));
+  const SimReport b = windowed.Run(MakePruneGreedyDpFactory({}));
   EXPECT_GT(b.distance_queries, 0);
   EXPECT_EQ(labels.query_count(), b.distance_queries);
 }
